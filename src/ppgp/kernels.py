@@ -8,7 +8,9 @@ with smoothness ``nu`` and scale ``phi`` (``K_nu`` is the modified Bessel
 function of the second kind), and the Gaussian correlation
 ``exp(-t^2 / (2 phi^2))``.  Half-integer Matérn smoothness uses the exact
 exponential-times-polynomial closed forms; other ``nu`` fall back to the
-Bessel evaluation.
+Bessel evaluation.  :meth:`Kernel1d.value_and_derivative` returns the
+correlation and its lag derivative together, sharing one ``exp`` where the
+closed forms allow.
 
 Multivariate structures compose a single 1-d base correlation over the
 coordinates of the lag ``x - y``:
@@ -23,6 +25,7 @@ reducing, so permuting input coordinates reproduces bit-identical results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +55,49 @@ _HALF_INTEGER_POLY = {
 }
 
 
+def _gaussian_at(t, phi):
+    """Gaussian correlation ``exp(-t^2 / (2 phi^2))``, in one temporary."""
+    # t*t overflows for astronomically large lags; exp of the resulting
+    # -inf is the correct limit 0, so only the warning is suppressed.
+    with np.errstate(over="ignore"):
+        val = np.multiply(t, t, out=np.empty_like(t))
+        np.negative(val, out=val)
+        val /= 2.0 * phi * phi
+        np.exp(val, out=val)
+    return val
+
+
+def _matern_at(nu, s, e=None):
+    """Matérn correlation of smoothness ``nu`` at scaled distance ``s >= 0``.
+
+    ``e``, when given, is ``exp(-s)`` already computed by the caller; the
+    Bessel form for general ``nu`` does not use it.
+    """
+    coeffs = _HALF_INTEGER_POLY.get(nu)
+    if coeffs is not None:
+        # For astronomically large s the polynomial overflows while the
+        # exponential underflows; the product is left as produced (nan)
+        # and treated as a numeric failure downstream, so only the
+        # warnings are suppressed here.
+        with np.errstate(invalid="ignore", over="ignore"):
+            # Horner's rule started from 0 * s, so an overflowed s = inf
+            # gives nan whatever the degree
+            poly = s * 0.0
+            poly += coeffs[-1]
+            for c in reversed(coeffs[:-1]):
+                poly *= s
+                poly += c
+            poly *= np.exp(-s) if e is None else e
+            return poly
+    # general smoothness via the Bessel form; the s -> 0 limit is 1
+    with np.errstate(invalid="ignore", over="ignore"):
+        val = s**nu * kv(nu, s) / (gamma(nu) * 2.0 ** (nu - 1.0))
+    val = np.where(s == 0.0, 1.0, val)
+    # kv underflows to 0 for large s, giving the correct limit, but the
+    # ratio can round a hair above 1 near s = 0
+    return np.minimum(val, 1.0)
+
+
 @dataclass(frozen=True)
 class Kernel1d:
     """A one-dimensional correlation function.
@@ -61,10 +107,10 @@ class Kernel1d:
     family : str
         ``"matern"`` or ``"gaussian"``.
     nu : float, optional
-        Smoothness of the Matérn family; must be positive.  Unused for
-        the Gaussian family.
+        Smoothness of the Matérn family; must be positive and finite.
+        Unused for the Gaussian family.
     phi : float
-        Scale parameter; must be positive.  Defaults to 1.
+        Scale parameter; must be positive and finite.  Defaults to 1.
     """
 
     family: str
@@ -75,10 +121,10 @@ class Kernel1d:
         if self.family not in ("matern", "gaussian"):
             raise DomainError(f"unknown kernel family {self.family!r}")
         if self.family == "matern":
-            if self.nu is None or self.nu <= 0:
-                raise DomainError("matern smoothness nu must be positive")
-        if self.phi <= 0:
-            raise DomainError("scale phi must be positive")
+            if self.nu is None or not (math.isfinite(self.nu) and self.nu > 0):
+                raise DomainError("matern smoothness nu must be positive and finite")
+        if not (math.isfinite(self.phi) and self.phi > 0):
+            raise DomainError("scale phi must be positive and finite")
 
     @property
     def differentiable(self) -> bool:
@@ -95,62 +141,61 @@ class Kernel1d:
         if not np.all(np.isfinite(t)):
             raise DomainError("kernel lag must be finite")
         if self.family == "gaussian":
-            # t*t overflows for astronomically large lags; exp of the
-            # resulting -inf is the correct limit 0, so only the warning
-            # is suppressed.
-            with np.errstate(over="ignore"):
-                out = np.exp(-(t * t) / (2.0 * self.phi * self.phi))
+            out = _gaussian_at(t, self.phi)
         else:
-            out = self._matern(np.abs(t))
+            s = 2.0 * np.sqrt(self.nu) * self.phi * np.abs(t)
+            out = _matern_at(self.nu, s)
         return out if out.ndim else float(out)
 
-    def _matern(self, r):
+    def value_and_derivative(self, t):
+        """:meth:`__call__` and :meth:`derivative` at the same lags ``t``.
+
+        The value is bit-identical to :meth:`__call__`.  Gaussian and
+        half-integer Matérn kernels share one ``exp`` between the two
+        outputs.  The Matérn derivative
+        ``-(2 nu phi^2 t / (nu - 1)) k_{nu-1}(sqrt(nu / (nu - 1)) t)``
+        evaluates the smoothness ``nu - 1`` correlation at the same scaled
+        distance ``s``, so it requires ``nu > 1``.
+        """
+        t = np.asarray(t, dtype=float)
+        if t.ndim == 0:
+            val, der = self.value_and_derivative(t.reshape(1))
+            return float(val[0]), float(der[0])
+        if not np.all(np.isfinite(t)):
+            raise DomainError("kernel lag must be finite")
+        phi = self.phi
+        # the temporaries are updated in place: this runs over every lag of
+        # a training step
+        if self.family == "gaussian":
+            val = _gaussian_at(t, phi)
+            der = t / (phi * phi)
+            np.negative(der, out=der)
+            der *= val
+            return val, der
         nu = self.nu
-        s = 2.0 * np.sqrt(nu) * self.phi * r
-        coeffs = _HALF_INTEGER_POLY.get(nu)
-        if coeffs is not None:
-            # For astronomically large s the polynomial overflows while the
-            # exponential underflows; the product is left as produced (nan)
-            # and treated as a numeric failure downstream, so only the
-            # warnings are suppressed here.
-            with np.errstate(invalid="ignore", over="ignore"):
-                poly = np.zeros_like(s)
-                for c in reversed(coeffs):
-                    poly = poly * s + c
-                return poly * np.exp(-s)
-        # general smoothness via the Bessel form; the s -> 0 limit is 1
+        if nu <= 1:
+            raise DomainError(f"matern derivative requires nu > 1 (got nu={nu})")
+        s = np.abs(t)
+        s *= 2.0 * np.sqrt(nu) * phi
+        e = None
+        if nu in _HALF_INTEGER_POLY or nu - 1.0 in _HALF_INTEGER_POLY:
+            e = np.negative(s)
+            np.exp(e, out=e)
+        val = _matern_at(nu, s, e)
+        der = _matern_at(nu - 1.0, s, e)
         with np.errstate(invalid="ignore", over="ignore"):
-            val = s**nu * kv(nu, s) / (gamma(nu) * 2.0 ** (nu - 1.0))
-        val = np.where(s == 0.0, 1.0, val)
-        # kv underflows to 0 for large s, giving the correct limit, but the
-        # ratio can round a hair above 1 near s = 0
-        return np.minimum(val, 1.0)
+            der *= t
+            der *= -2.0 * nu * phi**2 / (nu - 1.0)
+        return val, der
 
     def derivative(self, t):
         """Derivative of :meth:`__call__` with respect to the lag.
 
         Odd function of ``t``: zero at the origin, negative for ``t > 0``.
-        The Matérn form shifts smoothness to ``nu - 1`` and therefore
-        requires ``nu > 1``.
+        The second output of :meth:`value_and_derivative`; the Matérn form
+        therefore requires ``nu > 1``.
         """
-        t = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(t)):
-            raise DomainError("kernel lag must be finite")
-        if self.family == "gaussian":
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = -(t / (self.phi * self.phi)) * np.exp(
-                    -(t * t) / (2.0 * self.phi * self.phi)
-                )
-        else:
-            nu = self.nu
-            if nu <= 1:
-                raise DomainError(
-                    f"matern derivative requires nu > 1 (got nu={nu})"
-                )
-            inner = Kernel1d("matern", nu=nu - 1.0, phi=self.phi)
-            scale = np.sqrt(nu / (nu - 1.0))
-            out = -(2.0 * nu * self.phi**2 * t / (nu - 1.0)) * inner(scale * t)
-        return out if out.ndim else float(out)
+        return self.value_and_derivative(t)[1]
 
     def as_config(self) -> dict:
         """Serializable description, mirrored by :func:`kernel1d_from_config`."""
@@ -223,7 +268,17 @@ class MultivariateKernel:
         diffs = X[:, None, :] - Z[None, :, :]
         if self.structure == "isotropic":
             return self.base(np.sqrt(np.sum(diffs * diffs, axis=-1)))
-        vals = np.sort(self.base(diffs), axis=-1)
+        return self.combine(self.base(diffs))
+
+    def combine(self, values: np.ndarray) -> np.ndarray:
+        """Product or additive correlation from per-coordinate base values.
+
+        ``values`` holds the base correlation of each coordinate along its
+        last axis; they are sorted before the reduction, so the result does
+        not depend on the order of the coordinates.  Not used by the
+        isotropic structure, which applies the base to the lag norm.
+        """
+        vals = np.sort(values, axis=-1)
         if self.structure == "product":
             return np.prod(vals, axis=-1)
         return np.sum(vals, axis=-1) / self.dim

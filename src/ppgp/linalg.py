@@ -1,7 +1,7 @@
 """Dense SPD linear algebra: Cholesky with a jitter ladder, solves, log-det.
 
-Matrices here are small (the target regime is n <= ~2000, typically n <= 100),
-so everything is dense and delegated to LAPACK via numpy/scipy.
+Everything is dense and delegated to LAPACK via numpy/scipy; the models
+built on it typically have n <= 100 training points.
 """
 
 from __future__ import annotations

@@ -16,6 +16,18 @@ standard identity
 
 with ``dK/dw_k[i, j] = (1/M) k'(w_k^T (x_i - x_j)) (x_i - x_j)``.
 
+:func:`loss_and_gradient` makes one pass over the pairs ``i < j`` in
+fixed-size blocks.  Each block evaluates the kernel value and its
+derivative at the M projected lags from one shared ``exp``, writes the
+sorted-and-averaged values into ``K[i, j]`` and ``K[j, i]`` (bit-identical
+to :meth:`MultivariateKernel.gram`), and keeps only the derivatives.
+Because ``K`` is symmetric and ``k'`` odd, pair ``(i, j)`` enters the
+gradient with the weight ``(B[i, j] + B[j, i]) / M``, where
+``B = K^-1 - alpha alpha^T``, so after the factorization the gradient is
+one matrix product per block.  Memory is the stored derivatives, about
+``4 n^2 M`` bytes, plus O(n^2) for ``K``, its inverse and the pair
+indices; no n x n x M tensor is built.
+
 Within an epoch every row is updated from the same factorization
 (Jacobi-style); the returned model is the one at the best-loss epoch, not
 the last, and training stops early once the relative loss improvement
@@ -24,6 +36,7 @@ over a 10-epoch window falls below a threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +57,10 @@ __all__ = [
 ]
 
 EARLY_STOP_WINDOW = 10
+# Lag entries (pairs x M) per block of the pair pass in loss_and_gradient:
+# each float64 temporary of a block is at most 128 KiB, small enough to
+# stay in cache.
+BLOCK_LAGS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -59,8 +76,10 @@ class TrainConfig:
     center: bool = True
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise DomainError("learning rate eta must be non-negative")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise DomainError("learning rate eta must be finite and non-negative")
+        if not (math.isfinite(self.nugget) and self.nugget >= 0):
+            raise DomainError("nugget must be finite and non-negative")
         if self.M < 1:
             raise DomainError("node count M must be at least 1")
         if self.epochs < 1:
@@ -139,7 +158,10 @@ def loss_and_gradient(
     """Objective value and its exact gradient in the weight matrix.
 
     ``Y`` is used as given (center beforehand if the model is centered).
-    Raises for kernels without a usable derivative (Matérn needs nu > 1).
+    Raises ``DomainError`` for kernels without a usable derivative (Matérn
+    needs nu > 1), and ``SingularMatrixError``, which :func:`train` treats
+    as divergence, when the weights or the projected lags are not finite or
+    the correlation matrix cannot be factored.
     """
     if not kernel1d.differentiable:
         raise DomainError(
@@ -155,19 +177,40 @@ def loss_and_gradient(
         raise SingularMatrixError("weight matrix contains non-finite entries")
     M = W.shape[0]
     T = transform(W, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.ptp(T, axis=0)
+    if not np.isfinite(spread).all():
+        # Finite weights can still project the inputs past the float range;
+        # every lag is bounded by its column's spread, so this one check
+        # covers them all.
+        raise SingularMatrixError("projected inputs W x overflow to non-finite lags")
 
-    K = _additive_kernel(kernel1d, M).gram(T)
+    # One pass over the pairs i < j: K from the kernel values, k' kept
+    kernel = _additive_kernel(kernel1d, M)
+    iu, ju = np.triu_indices(X.shape[0], 1)
+    step = max(1, BLOCK_LAGS // M)
+    dk = np.empty((iu.size, M))
+    K = np.empty((X.shape[0], X.shape[0]))
+    for start in range(0, iu.size, step):
+        i, j = iu[start:start + step], ju[start:start + step]
+        k, dk[start:start + step] = kernel1d.value_and_derivative(T[i] - T[j])
+        K[i, j] = K[j, i] = kernel.combine(k)
+    np.fill_diagonal(K, 1.0)                          # M ones averaged
+
     chol = cholesky_with_jitter(K, nugget)
     alpha = solve_spd(chol, Y)
     loss = float(Y @ alpha + logdet(chol))
 
-    # B = K^-1 - alpha alpha^T contracts against dK/dw_k
+    # B = K^-1 - alpha alpha^T contracts against dK/dw_k; k' is odd, so
+    # the pairs (i, j) and (j, i) share the weight (B[i,j] + B[j,i]) / M
     B = inverse_spd(chol) - np.outer(alpha, alpha)
-    lags = T[:, None, :] - T[None, :, :]              # (n, n, M)
-    C = B[:, :, None] * (kernel1d.derivative(lags) / M)
-    row_sums = C.sum(axis=1)                          # (n, M)
-    col_sums = C.sum(axis=0)                          # (n, M)
-    grad = (row_sums - col_sums).T @ X                # (M, d)
+    pair_weight = (B[iu, ju] + B[ju, iu]) / M
+    grad = np.zeros((M, X.shape[1]))
+    for start in range(0, iu.size, step):
+        i, j = iu[start:start + step], ju[start:start + step]
+        D = X[i] - X[j]
+        D *= pair_weight[start:start + step, None]
+        grad += dk[start:start + step].T @ D          # (M, d)
     return loss, grad
 
 

@@ -166,7 +166,7 @@ class TestKernel1dValues:
             assert v == k(float(t))
 
     def test_construction_rejects_bad_parameters(self):
-        """nu <= 0, phi <= 0, and unknown families are rejected."""
+        """nu <= 0, phi <= 0, non-finite nu or phi, unknown families are rejected."""
         with pytest.raises(DomainError):
             matern(0.0)
         with pytest.raises(DomainError):
@@ -179,6 +179,13 @@ class TestKernel1dValues:
             Kernel1d(family="cubic")
         with pytest.raises(DomainError):
             Kernel1d(family="matern", nu=None)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                matern(bad)
+            with pytest.raises(DomainError):
+                matern(2.5, phi=bad)
+            with pytest.raises(DomainError):
+                gaussian(bad)
 
     def test_non_finite_lag_rejected(self):
         """Evaluating at nan or inf raises a domain error."""
@@ -259,6 +266,23 @@ class TestKernel1dDerivative:
         vals = k.derivative(ts)
         for t, v in zip(ts, vals):
             assert v == k.derivative(float(t))
+
+    def test_value_and_derivative_match_separate_calls(self):
+        """The paired evaluation gives __call__'s values bit for bit.
+
+        The derivative shares the value's scaled lag, so it agrees with the
+        separate form to rounding; scalars come back as floats.
+        """
+        ts = np.linspace(-3.0, 3.0, 61)
+        kernels = [matern(nu, phi=0.7) for nu in (1.5, 2.5, 3.5, 2.0, 4.2, 4.5)]
+        kernels.append(gaussian(0.7))
+        for k in kernels:
+            val, der = k.value_and_derivative(ts)
+            assert np.array_equal(val, k(ts)), f"{k.family} nu={k.nu}"
+            assert np.array_equal(der, k.derivative(ts))
+            v0, d0 = k.value_and_derivative(0.4)
+            assert type(v0) is float and type(d0) is float
+            assert v0 == k(0.4) and d0 == k.derivative(0.4)
 
     def test_low_smoothness_rejected(self):
         """Matern with nu <= 1 has no usable lag derivative."""

@@ -6,6 +6,7 @@ the model to a plain additive GP or to hand-computable matrices.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,7 +134,11 @@ class TestLossAndGradient:
         assert gradient_relative_error(W, X, Y, matern(2.5)) <= 1e-4
 
     def test_twenty_random_instances_both_families(self):
-        """>= 20 random (n <= 8, d <= 3, M <= 5) instances, both kernels."""
+        """>= 20 random (n <= 8, d <= 3, M <= 5) instances, both families.
+
+        Matern 2.0 takes the Bessel route for both the value and the
+        derivative (smoothness 1.0 is not a half-integer).
+        """
         rng = np.random.default_rng(42)
         checked = 0
         for trial in range(10):
@@ -143,9 +148,10 @@ class TestLossAndGradient:
             X = uniform_random(n, d, trial).points
             Y = rng.normal(size=n)
             W = init_weights(d, M, trial + 100)
-            for kernel1d in (matern(2.5), gaussian(1.0)):
+            for kernel1d in (matern(2.5), gaussian(1.0), matern(2.0)):
                 assert gradient_relative_error(W, X, Y, kernel1d) <= 1e-4, (
-                    f"trial {trial} {kernel1d.family}: gradient mismatch"
+                    f"trial {trial} {kernel1d.family} nu={kernel1d.nu}: "
+                    "gradient mismatch"
                 )
                 checked += 1
         assert checked >= 20
@@ -225,6 +231,19 @@ class TestLossAndGradient:
         with pytest.raises(SingularMatrixError):
             loss_and_gradient(W, X, Y, matern(2.5))
 
+    def test_overflowing_projection_is_numeric_failure(self):
+        """Finite weights whose projections or lags overflow are a numeric failure."""
+        from ppgp import SingularMatrixError
+
+        X = halton(8, 2).points
+        Y = np.ones(8)
+        with pytest.raises(SingularMatrixError):
+            loss_and_gradient(np.full((3, 2), 1.5e308), X, Y, matern(2.5))
+        # every projection is finite, but x_0 - x_1 is not
+        X2 = np.array([[1.0], [-1.0], [0.0]])
+        with pytest.raises(SingularMatrixError):
+            loss_and_gradient(np.array([[1e308]]), X2, np.ones(3), gaussian(1.0))
+
 
 class TestTrainConfig:
     """Hyperparameter validation."""
@@ -237,6 +256,12 @@ class TestTrainConfig:
             TrainConfig(eta=1e-9, epochs=10, M=0)
         with pytest.raises(DomainError):
             TrainConfig(eta=1e-9, epochs=0, M=3)
+        for eta in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                TrainConfig(eta=eta, epochs=10, M=3)
+        for nugget in (-1.0, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                TrainConfig(eta=1e-9, epochs=10, M=3, nugget=nugget)
 
     def test_eta_zero_allowed(self):
         """eta = 0 is a valid degenerate configuration (no updates)."""
@@ -337,13 +362,29 @@ class TestTrain:
         assert np.all(np.isfinite(m.predict(X)))
 
     def test_all_epochs_diverged_is_a_training_error(self):
-        """No finite loss at all advises a smaller learning rate."""
+        """No finite loss at all advises a smaller learning rate.
+
+        With 1.5e308 the weights are finite but the projections overflow.
+        """
         X = halton(8, 2).points
         Y = X[:, 0] + X[:, 1]
         cfg = TrainConfig(eta=1e-8, epochs=5, M=3, seed=0)
-        with pytest.raises(TrainingError) as exc:
-            train(X, Y, matern(2.5), cfg, W0=np.full((3, 2), 1e200))
-        assert "eta" in str(exc.value)
+        for w in (1e200, 1.5e308):
+            with pytest.raises(TrainingError) as exc:
+                train(X, Y, matern(2.5), cfg, W0=np.full((3, 2), w))
+            assert "eta" in str(exc.value)
+
+    def test_best_loss_equals_refitted_log_likelihood(self):
+        """The pair pass builds the Gram matrix of the refitted GP bit for bit."""
+        fn = by_name("borehole")
+        X = halton(20, 8).points
+        Y = fn.eval_unit(X)
+        cfg = TrainConfig(eta=1e-8, epochs=10, M=10, seed=3, early_stop_rel=0.0)
+        for kernel1d in (matern(2.5), matern(3.5), gaussian(1.0)):
+            m = train(X, Y, kernel1d, cfg)
+            assert m.trace[m.best_epoch][1] == m.inner.log_likelihood(), (
+                f"{kernel1d.family} nu={kernel1d.nu}"
+            )
 
     def test_input_validation(self):
         """Too little data, shape mismatch, and non-finite inputs raise."""
@@ -410,3 +451,22 @@ class TestGradientRuntime:
         elapsed = time.time() - start
         assert checked >= 20
         assert elapsed <= 10.0
+
+
+class TestGradientMemory:
+    """One objective evaluation never builds an n x n x M tensor."""
+
+    def test_peak_traced_memory_at_n_800(self):
+        """n=800, M=40, d=8: traced peak <= 256 MB (an n^2 M tensor is 205 MB)."""
+        rng = np.random.default_rng(11)
+        X = uniform_random(800, 8, 4).points
+        Y = rng.normal(size=800)
+        W = init_weights(8, 40, 5)
+        tracemalloc.start()
+        try:
+            loss, grad = loss_and_gradient(W, X, Y, matern(2.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        assert peak <= 256 * 2**20, f"peak {peak / 2**20:.0f} MB"
