@@ -301,15 +301,21 @@ def _read_points_csv(path: str) -> np.ndarray:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read points file {path!r}: {exc}") from None
-    for line in lines:
+    header_allowed = True
+    for number, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        fields = stripped.split(",")
         try:
-            rows.append([float(f) for f in fields])
+            rows.append([float(f) for f in stripped.split(",")])
         except ValueError:
-            continue  # header line
+            # only the first data line may be a header; a later one is a
+            # corrupt row, never silently dropped
+            if not header_allowed:
+                raise ConfigError(
+                    f"non-numeric row on line {number} of {path!r}: {stripped!r}"
+                ) from None
+        header_allowed = False
     if not rows:
         raise ConfigError(f"no numeric rows found in {path!r}")
     widths = {len(r) for r in rows}

@@ -52,9 +52,12 @@ class GpModel:
     def predict(self, X) -> np.ndarray:
         """Posterior-mean predictions at the rows of ``X`` (m x dim).
 
-        The reduction is written as an explicit einsum so each output
-        element is accumulated identically whatever the batch size;
-        batch predictions match single-point predictions bit for bit.
+        The cross-correlations come from :meth:`MultivariateKernel.cross`
+        in row blocks, so memory is O(m n) for ``r`` plus one bounded
+        block, never an m x n x dim lag tensor.  The reduction is written
+        as an explicit einsum so each output element is accumulated
+        identically whatever the batch size; batch predictions match
+        single-point predictions bit for bit.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         r = self.kernel.cross(X, self.design)

@@ -21,6 +21,12 @@ coordinates of the lag ``x - y``:
 
 Additive and product reductions sort their per-coordinate values before
 reducing, so permuting input coordinates reproduces bit-identical results.
+
+:meth:`MultivariateKernel.cross` fills its m x n output in blocks of query
+rows, each holding at most :data:`BLOCK_LAGS` lag entries, so memory is
+O(m n + block) rather than O(m n dim).  Every entry is computed by the same
+elementwise operations whatever the block, so the result does not depend on
+the block size and a batch equals its rows taken one at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -44,6 +50,11 @@ __all__ = [
 ]
 
 STRUCTURES = ("isotropic", "product", "additive")
+
+# Lag entries (rows x n x dim) per block of MultivariateKernel.cross: each
+# float64 temporary of a block is at most 128 KiB, small enough to stay in
+# cache.
+BLOCK_LAGS = 1 << 14
 
 # exp(-s) * polynomial(s) coefficients for half-integer smoothness,
 # lowest order first; s = 2 sqrt(nu) phi |t|
@@ -71,27 +82,25 @@ def _matern_at(nu, s, e=None):
     """Matérn correlation of smoothness ``nu`` at scaled distance ``s >= 0``.
 
     ``e``, when given, is ``exp(-s)`` already computed by the caller; the
-    Bessel form for general ``nu`` does not use it.
+    Bessel form for general ``nu`` does not use it.  Callers run this
+    inside ``np.errstate(invalid="ignore", over="ignore")``: for
+    astronomically large lags ``s`` overflows, the polynomial with it,
+    while the exponential underflows; the value is left as produced (nan)
+    and treated as a numeric failure downstream.
     """
     coeffs = _HALF_INTEGER_POLY.get(nu)
     if coeffs is not None:
-        # For astronomically large s the polynomial overflows while the
-        # exponential underflows; the product is left as produced (nan)
-        # and treated as a numeric failure downstream, so only the
-        # warnings are suppressed here.
-        with np.errstate(invalid="ignore", over="ignore"):
-            # Horner's rule started from 0 * s, so an overflowed s = inf
-            # gives nan whatever the degree
-            poly = s * 0.0
-            poly += coeffs[-1]
-            for c in reversed(coeffs[:-1]):
-                poly *= s
-                poly += c
-            poly *= np.exp(-s) if e is None else e
-            return poly
+        # Horner's rule started from 0 * s, so an overflowed s = inf
+        # gives nan whatever the degree
+        poly = s * 0.0
+        poly += coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            poly *= s
+            poly += c
+        poly *= np.exp(-s) if e is None else e
+        return poly
     # general smoothness via the Bessel form; the s -> 0 limit is 1
-    with np.errstate(invalid="ignore", over="ignore"):
-        val = s**nu * kv(nu, s) / (gamma(nu) * 2.0 ** (nu - 1.0))
+    val = s**nu * kv(nu, s) / (gamma(nu) * 2.0 ** (nu - 1.0))
     val = np.where(s == 0.0, 1.0, val)
     # kv underflows to 0 for large s, giving the correct limit, but the
     # ratio can round a hair above 1 near s = 0
@@ -143,8 +152,10 @@ class Kernel1d:
         if self.family == "gaussian":
             out = _gaussian_at(t, self.phi)
         else:
-            s = 2.0 * np.sqrt(self.nu) * self.phi * np.abs(t)
-            out = _matern_at(self.nu, s)
+            with np.errstate(invalid="ignore", over="ignore"):
+                s = np.abs(t)
+                s *= 2.0 * np.sqrt(self.nu) * self.phi
+                out = _matern_at(self.nu, s)
         return out if out.ndim else float(out)
 
     def value_and_derivative(self, t):
@@ -175,15 +186,15 @@ class Kernel1d:
         nu = self.nu
         if nu <= 1:
             raise DomainError(f"matern derivative requires nu > 1 (got nu={nu})")
-        s = np.abs(t)
-        s *= 2.0 * np.sqrt(nu) * phi
-        e = None
-        if nu in _HALF_INTEGER_POLY or nu - 1.0 in _HALF_INTEGER_POLY:
-            e = np.negative(s)
-            np.exp(e, out=e)
-        val = _matern_at(nu, s, e)
-        der = _matern_at(nu - 1.0, s, e)
         with np.errstate(invalid="ignore", over="ignore"):
+            s = np.abs(t)
+            s *= 2.0 * np.sqrt(nu) * phi
+            e = None
+            if nu in _HALF_INTEGER_POLY or nu - 1.0 in _HALF_INTEGER_POLY:
+                e = np.negative(s)
+                np.exp(e, out=e)
+            val = _matern_at(nu, s, e)
+            der = _matern_at(nu - 1.0, s, e)
             der *= t
             der *= -2.0 * nu * phi**2 / (nu - 1.0)
         return val, der
@@ -257,7 +268,14 @@ class MultivariateKernel:
         return self.cross(X, X)
 
     def cross(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """Cross-correlation matrix: entry (i, j) is k(X[i], Z[j])."""
+        """Cross-correlation matrix: entry (i, j) is k(X[i], Z[j]).
+
+        The rows of ``X`` are taken in blocks of ``BLOCK_LAGS // (n dim)``
+        (at least one), so no m x n x dim lag tensor is built: memory is
+        O(m n + BLOCK_LAGS).  Each entry goes through the same operations
+        whatever its block, so the result is bit-identical to evaluating
+        the rows of ``X`` one at a time.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         if X.shape[1] != self.dim or Z.shape[1] != self.dim:
@@ -265,10 +283,16 @@ class MultivariateKernel:
                 f"points must have {self.dim} columns, "
                 f"got {X.shape[1]} and {Z.shape[1]}"
             )
-        diffs = X[:, None, :] - Z[None, :, :]
-        if self.structure == "isotropic":
-            return self.base(np.sqrt(np.sum(diffs * diffs, axis=-1)))
-        return self.combine(self.base(diffs))
+        out = np.empty((X.shape[0], Z.shape[0]))
+        step = max(1, BLOCK_LAGS // max(1, Z.shape[0] * self.dim))
+        for start in range(0, X.shape[0], step):
+            diffs = X[start:start + step, None, :] - Z[None, :, :]
+            if self.structure == "isotropic":
+                diffs *= diffs
+                out[start:start + step] = self.base(np.sqrt(np.sum(diffs, axis=-1)))
+            else:
+                out[start:start + step] = self.combine(self.base(diffs))
+        return out
 
     def combine(self, values: np.ndarray) -> np.ndarray:
         """Product or additive correlation from per-coordinate base values.

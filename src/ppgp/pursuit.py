@@ -58,9 +58,12 @@ __all__ = [
 
 EARLY_STOP_WINDOW = 10
 # Lag entries (pairs x M) per block of the pair pass in loss_and_gradient:
-# each float64 temporary of a block is at most 128 KiB, small enough to
-# stay in cache.
-BLOCK_LAGS = 1 << 14
+# each float64 temporary of a block is at most 64 KiB.  With 128 KiB
+# temporaries glibc grew and trimmed the heap around every block unless an
+# earlier free of a larger block had raised its trim threshold, so an n=40
+# call took about 180 minor page faults and up to twice as long.  At 64 KiB
+# the calls fault next to nothing in every process state measured.
+BLOCK_LAGS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -190,11 +193,13 @@ def loss_and_gradient(
     iu, ju = np.triu_indices(X.shape[0], 1)
     step = max(1, BLOCK_LAGS // M)
     dk = np.empty((iu.size, M))
-    K = np.empty((X.shape[0], X.shape[0]))
+    k_pairs = np.empty(iu.size)
     for start in range(0, iu.size, step):
-        i, j = iu[start:start + step], ju[start:start + step]
-        k, dk[start:start + step] = kernel1d.value_and_derivative(T[i] - T[j])
-        K[i, j] = K[j, i] = kernel.combine(k)
+        block = slice(start, start + step)
+        k, dk[block] = kernel1d.value_and_derivative(T[iu[block]] - T[ju[block]])
+        k_pairs[block] = kernel.combine(k)
+    K = np.empty((X.shape[0], X.shape[0]))
+    K[iu, ju] = K[ju, iu] = k_pairs
     np.fill_diagonal(K, 1.0)                          # M ones averaged
 
     chol = cholesky_with_jitter(K, nugget)
@@ -205,12 +210,14 @@ def loss_and_gradient(
     # the pairs (i, j) and (j, i) share the weight (B[i,j] + B[j,i]) / M
     B = inverse_spd(chol) - np.outer(alpha, alpha)
     pair_weight = (B[iu, ju] + B[ju, iu]) / M
+    # the contraction's temporaries hold pairs x d entries, not pairs x M
     grad = np.zeros((M, X.shape[1]))
+    step = max(1, BLOCK_LAGS // X.shape[1])
     for start in range(0, iu.size, step):
-        i, j = iu[start:start + step], ju[start:start + step]
-        D = X[i] - X[j]
-        D *= pair_weight[start:start + step, None]
-        grad += dk[start:start + step].T @ D          # (M, d)
+        block = slice(start, start + step)
+        D = X[iu[block]] - X[ju[block]]
+        D *= pair_weight[block, None]
+        grad += dk[block].T @ D                       # (M, d)
     return loss, grad
 
 

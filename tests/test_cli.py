@@ -160,6 +160,29 @@ class TestFitPredict:
         assert rc == 1
         assert "2" in capsys.readouterr().err
 
+    def test_predict_rejects_non_numeric_data_row(self, tmp_path, capsys):
+        """Only the first data line may be a header; a later bad row is an
+        error naming its line, not a silently dropped row."""
+        model_path = tmp_path / "model.txt"
+        assert cli.main(["fit", "--function", "xy-plus-x2",
+                         "--method", "gp-add",
+                         "--model-out", str(model_path),
+                         "--out", str(tmp_path / "f.csv")]) == 0
+        points_path = tmp_path / "points.csv"
+        points_path.write_text("# points\nx1,x2\n0.5,0.5\n\n0.25,abc\n0.75,0.1\n")
+        pred_path = tmp_path / "pred.csv"
+        rc = cli.main(["predict", "--model", str(model_path),
+                       "--points", str(points_path), "--out", str(pred_path)])
+        assert rc == 1
+        assert "line 5" in capsys.readouterr().err
+        assert not pred_path.exists()
+
+        points_path.write_text("x1,x2\n0.5,0.5\n0.25,0.3\n")
+        rc = cli.main(["predict", "--model", str(model_path),
+                       "--points", str(points_path), "--out", str(pred_path)])
+        assert rc == 0
+        assert len(_body_lines(pred_path)) == 3
+
     def test_predict_missing_model_file(self, tmp_path, capsys):
         points_path = tmp_path / "points.csv"
         points_path.write_text("0.5,0.5\n")

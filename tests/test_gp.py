@@ -5,6 +5,8 @@ maxima for the predictive standard deviation, and paired fits on
 functions with known additive or interactive structure.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from ppgp import (
     rmse_absolute,
     uniform_random,
 )
+from ppgp.kernels import BLOCK_LAGS
 
 
 def iso_kernel(d, nu=2.5):
@@ -281,11 +284,38 @@ class TestPermutationInvariance:
             assert np.array_equal(m.predict(Xt), mp.predict(Xt[:, perm]))
 
     def test_batch_predict_equals_single_predicts(self):
-        """predict on a matrix equals predict_mean row by row, bitwise."""
+        """predict on a matrix equals predict_mean row by row, bitwise,
+        also for a batch spanning several row blocks of cross."""
         X = halton(12, 3).points
         Y = X[:, 0] + 2.0 * X[:, 1] ** 2 + np.sin(X[:, 2])
-        m = fit(X, Y, add_kernel(3))
-        Xt = uniform_random(40, 3, 4).points
-        batch = m.predict(Xt)
-        singles = np.array([m.predict_mean(x) for x in Xt])
-        assert np.array_equal(batch, singles)
+        rows_per_block = BLOCK_LAGS // (12 * 3)
+        batches = (uniform_random(40, 3, 4).points,
+                   uniform_random(3 * rows_per_block + 5, 3, 5).points)
+        for kernel in (add_kernel(3), prod_kernel(3), iso_kernel(3)):
+            m = fit(X, Y, kernel)
+            for Xt in batches:
+                batch = m.predict(Xt)
+                singles = np.array([m.predict_mean(x) for x in Xt])
+                assert np.array_equal(batch, singles), kernel.structure
+
+
+class TestPredictMemory:
+    """predict works through cross in row blocks, never an m x n x dim tensor."""
+
+    def test_peak_traced_memory_of_500_point_predict(self):
+        """n=400, M=40 additive model: one 500-point predict stays <= 16 MB.
+
+        The whole 500 x 400 x 40 lag tensor alone would be 61 MB.
+        """
+        rng = np.random.default_rng(11)
+        X = uniform_random(400, 40, 12).points
+        m = fit(X, rng.normal(size=400), add_kernel(40))
+        Xt = uniform_random(500, 40, 13).points
+        tracemalloc.start()
+        try:
+            pred = m.predict(Xt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(pred))
+        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MB"

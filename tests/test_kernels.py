@@ -7,6 +7,7 @@ are checked against central finite differences of the kernel itself.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -23,6 +24,7 @@ from ppgp import (
     matern,
     multivariate_from_config,
 )
+from ppgp.kernels import BLOCK_LAGS
 
 
 def matern_reference(nu, phi, t):
@@ -194,6 +196,21 @@ class TestKernel1dValues:
             k(float("nan"))
         with pytest.raises(DomainError):
             k(float("inf"))
+
+    def test_extreme_finite_lag_warns_nothing(self):
+        """A lag near the float limit gives the documented limits silently.
+
+        The Matérn scaled distance overflows to inf and the value is nan
+        (a numeric failure for the caller to handle); the Gaussian is 0.
+        """
+        t = np.array([1e308, -1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (matern(2.5), matern(2.2), matern(1.5, phi=3.0)):
+                assert np.isnan(k(t)).all(), f"nu={k.nu}"
+                val, der = k.value_and_derivative(t)
+                assert np.isnan(val).all() and np.isnan(der).all()
+            assert np.array_equal(gaussian(0.5)(t), [0.0, 0.0])
 
     def test_config_round_trip(self):
         """as_config followed by kernel1d_from_config reproduces the kernel."""
@@ -414,6 +431,26 @@ class TestMultivariateKernel:
             for i in range(4):
                 for j in range(6):
                     assert R[i, j] == mk(A[i], B[j])
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_row_blocks_change_no_value(self, structure):
+        """cross over many row blocks equals cross row by row, bit for bit.
+
+        Shapes: several full blocks ending on a partial one, and an
+        ``n * dim`` above the block budget, where every block is one row.
+        """
+        rng = np.random.default_rng(9)
+        for n, dim in ((10, 7), (BLOCK_LAGS // 6 + 1, 6)):
+            rows = max(1, BLOCK_LAGS // (n * dim))
+            m = 3 * rows + rows // 2 + 1
+            X = rng.uniform(size=(m, dim))
+            Z = rng.uniform(size=(n, dim))
+            mk = MultivariateKernel(base=matern(2.5, phi=0.8),
+                                    structure=structure, dim=dim)
+            R = mk.cross(X, Z)
+            assert R.shape == (m, n)
+            by_row = np.vstack([mk.cross(X[i:i + 1], Z) for i in range(m)])
+            assert np.array_equal(R, by_row)
 
     def test_coordinate_permutation_bit_identical(self):
         """Permuting input coordinates leaves additive/product values bitwise equal.
