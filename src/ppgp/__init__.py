@@ -8,144 +8,25 @@ hypercube), standard benchmark functions, an RMSE/cross-validation
 harness, and an empirical convergence-rate checker.
 """
 
-from .benchmarks import BENCHMARKS, BenchmarkFn, by_name
-from .designs import (
-    GENERATORS,
-    Design,
-    distinct_across_points,
-    distinct_within_points,
-    halton,
-    marginal_fill_distance,
-    marginal_fill_distance_exact,
-    moment_matrix,
-    randomized_lhs,
-    regularity_order,
-    uniform_random,
-)
-from .errors import (
-    ConfigError,
-    DomainError,
-    FitError,
-    MetricError,
-    ModelFormatError,
-    PpgpError,
-    SingularMatrixError,
-    TrainingError,
-)
-from .evaluation import (
-    METHODS,
-    ExperimentReport,
-    TuneGrid,
-    benchmark_table,
-    cross_validate,
-    fold_indices,
-    rmse,
-    rmse_absolute,
-    run_experiment,
-)
-from .gp import DEFAULT_NUGGET, GpModel, fit
-from .kernels import (
-    STRUCTURES,
-    Kernel1d,
-    MultivariateKernel,
-    gaussian,
-    kernel1d_from_config,
-    matern,
-    multivariate_from_config,
-)
-from .linalg import (
-    CholFactor,
-    cholesky_with_jitter,
-    inverse_spd,
-    logdet,
-    solve_lower,
-    solve_spd,
-)
-from .modelio import load_model, loads_model, dumps_model, save_model
-from .pursuit import (
-    PpgprModel,
-    TrainConfig,
-    default_node_count,
-    init_weights,
-    loss_and_gradient,
-    train,
-    transform,
-)
-from .ratecheck import (
-    THEORY_NUGGET,
-    CurveRow,
-    RateFit,
-    prior_draws,
-    rate_fit,
-    sup_error_curve,
-)
+# Each module's __all__ is its public API; the package re-exports them all.
+from . import (benchmarks, designs, errors, evaluation, gp, kernels, linalg, modelio,
+               pursuit, ratecheck)
+from .benchmarks import *  # noqa: F403
+from .designs import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .evaluation import *  # noqa: F403
+from .gp import *  # noqa: F403
+from .kernels import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .modelio import *  # noqa: F403
+from .pursuit import *  # noqa: F403
+from .ratecheck import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BENCHMARKS",
-    "BenchmarkFn",
-    "by_name",
-    "Design",
-    "GENERATORS",
-    "halton",
-    "randomized_lhs",
-    "uniform_random",
-    "marginal_fill_distance",
-    "marginal_fill_distance_exact",
-    "moment_matrix",
-    "regularity_order",
-    "distinct_within_points",
-    "distinct_across_points",
-    "PpgpError",
-    "DomainError",
-    "SingularMatrixError",
-    "FitError",
-    "TrainingError",
-    "MetricError",
-    "ConfigError",
-    "ModelFormatError",
-    "ExperimentReport",
-    "METHODS",
-    "TuneGrid",
-    "benchmark_table",
-    "cross_validate",
-    "fold_indices",
-    "rmse",
-    "rmse_absolute",
-    "run_experiment",
-    "DEFAULT_NUGGET",
-    "GpModel",
-    "fit",
-    "Kernel1d",
-    "MultivariateKernel",
-    "STRUCTURES",
-    "matern",
-    "gaussian",
-    "kernel1d_from_config",
-    "multivariate_from_config",
-    "CholFactor",
-    "cholesky_with_jitter",
-    "solve_spd",
-    "solve_lower",
-    "logdet",
-    "inverse_spd",
-    "save_model",
-    "load_model",
-    "dumps_model",
-    "loads_model",
-    "PpgprModel",
-    "TrainConfig",
-    "init_weights",
-    "transform",
-    "loss_and_gradient",
-    "train",
-    "default_node_count",
-    "CurveRow",
-    "RateFit",
-    "THEORY_NUGGET",
-    "prior_draws",
-    "sup_error_curve",
-    "rate_fit",
-    "__version__",
-]
+    name
+    for module in (benchmarks, designs, errors, evaluation, gp, kernels, linalg,
+                   modelio, pursuit, ratecheck)
+    for name in module.__all__
+] + ["__version__"]

@@ -3,6 +3,12 @@
 Subcommands: ``design``, ``fit``, ``predict``, ``eval-grid``,
 ``bench-table``, ``tune``, ``theory-check``.
 
+``fit``, ``bench-table`` and ``tune`` build their models from one
+:class:`~ppgp.evaluation.ModelSpec` through
+:func:`~ppgp.evaluation.make_model`, the same factory the library's
+experiment harness uses, with the same weight seeds; the kernel and
+training keys take their defaults from ``ModelSpec``.
+
 Every subcommand accepts ``--config FILE`` (plain text, one ``key=value``
 per line, ``#`` comments) plus per-key flags; flags override the file.
 Unknown keys are rejected with the list of valid keys, missing required
@@ -35,11 +41,20 @@ from .errors import (
     SingularMatrixError,
     TrainingError,
 )
-from .evaluation import TuneGrid, benchmark_table, cross_validate
-from .gp import GpModel, fit
-from .kernels import MultivariateKernel, kernel1d_from_config
+from .evaluation import (
+    METHODS,
+    ModelSpec,
+    TuneGrid,
+    _experiment_seeds,
+    _halton_training,
+    benchmark_table,
+    cross_validate,
+    make_model,
+)
+# fit and train go unused here, but perfbench/tracer.py patches cli.fit and cli.train
+from .gp import fit
 from .modelio import load_model, save_model
-from .pursuit import PpgprModel, TrainConfig, default_node_count, train
+from .pursuit import PpgprModel, default_node_count, train
 
 __all__ = ["main"]
 
@@ -109,25 +124,32 @@ def _parse_value(key: Key, raw: str):
     raise ConfigError(f"unknown key kind {key.kind!r}")
 
 
-_KERNEL_KEYS = [
-    Key("family", "str", default="matern", example="family=matern"),
-    Key("nu", "float", default="2.5", example="nu=2.5"),
-    Key("phi", "float", default="1.0", example="phi=1.0"),
-]
+def _spec_key(name: str, kind: str, help: str = "") -> Key:
+    """A key for a :class:`ModelSpec` field, with the field's default."""
+    default = getattr(ModelSpec, name)
+    text = str(int(default)) if isinstance(default, bool) else str(default)
+    return Key(name, kind, default=text, example=f"{name}={text}", help=help)
+
+
+# each is a ModelSpec field of the same name
+_KERNEL_KEYS = [_spec_key("family", "str"), _spec_key("nu", "float"), _spec_key("phi", "float")]
 _TRAIN_KEYS = [
-    Key("eta", "float", default="1e-9", example="eta=1e-9"),
-    Key("epochs", "int", default="150", example="epochs=150"),
+    _spec_key("eta", "float"),
+    _spec_key("epochs", "int"),
     Key("M", "int", example="M=35", help="defaults to min(n_train-5, 5d)"),
-    Key("early_stop_rel", "float", default="0.04", example="early_stop_rel=0.04",
-        help="10-epoch relative-improvement threshold; 0 disables early stop"),
-    Key("nugget", "float", default="1e-6", example="nugget=1e-6"),
-    Key("center", "bool", default="1", example="center=1"),
+    _spec_key("early_stop_rel", "float",
+              help="10-epoch relative-improvement threshold; 0 disables early stop"),
+    _spec_key("nugget", "float"),
+    _spec_key("center", "bool"),
 ]
+_MODEL_KEYS = _KERNEL_KEYS + _TRAIN_KEYS
+# the training keys of tune: its grid sets eta and M
+_TUNE_TRAIN_KEYS = [k for k in _TRAIN_KEYS if k.name not in ("eta", "M")]
 
 SUBCOMMANDS: dict[str, list[Key]] = {
     "design": [
         Key("generator", "str", required=True, example="generator=halton",
-            help="halton | randomized-lhs | uniform-random"),
+            help=" | ".join(designs.GENERATORS)),
         Key("n", "int", required=True, example="n=40"),
         Key("d", "int", required=True, example="d=8"),
         Key("seed", "int", default="0", example="seed=0"),
@@ -136,10 +158,9 @@ SUBCOMMANDS: dict[str, list[Key]] = {
     "fit": [
         Key("function", "str", required=True, example="function=borehole"),
         Key("method", "str", default="ppgpr", example="method=ppgpr",
-            help="gp-iso | gp-pro | gp-add | ppgpr"),
+            help=" | ".join(METHODS)),
         Key("n_train", "int", example="n_train=40", help="defaults to 5 d"),
-        *_KERNEL_KEYS,
-        *_TRAIN_KEYS,
+        *_MODEL_KEYS,
         Key("seed", "int", default="0", example="seed=0"),
         Key("model_out", "str", required=True, example="model_out=model.txt"),
         Key("trace_out", "str", example="trace_out=trace.csv"),
@@ -164,8 +185,7 @@ SUBCOMMANDS: dict[str, list[Key]] = {
             example="methods=gp-iso,gp-pro,ppgpr"),
         Key("seeds", "ints", default="0", example="seeds=0,1,2"),
         Key("n_train", "int", example="n_train=40", help="defaults to 5 d"),
-        *_KERNEL_KEYS,
-        *_TRAIN_KEYS,
+        *_MODEL_KEYS,
         Key("out", "str", example="out=table.csv"),
     ],
     "tune": [
@@ -177,12 +197,7 @@ SUBCOMMANDS: dict[str, list[Key]] = {
         Key("kernels", "kernels", default="matern:2.5:1.0",
             example="kernels=matern:2.5:1.0;gaussian:-:0.5"),
         Key("folds", "int", default="5", example="folds=5"),
-        Key("epochs", "int", default="150", example="epochs=150"),
-        Key("early_stop_rel", "float", default="0.04",
-            example="early_stop_rel=0.04",
-            help="10-epoch relative-improvement threshold; 0 disables early stop"),
-        Key("nugget", "float", default="1e-6", example="nugget=1e-6"),
-        Key("center", "bool", default="1", example="center=1"),
+        *_TUNE_TRAIN_KEYS,
         Key("seed", "int", default="0", example="seed=0"),
         Key("out", "str", example="out=tune.csv"),
     ],
@@ -324,51 +339,19 @@ def _read_points_csv(path: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _build_model(cfg: dict, seed: int):
-    """Fit the configured model on a Halton training design; returns
-    (model, U_train, Y_train, resolved M or None)."""
-    fn = by_name(cfg["function"])
-    d = fn.dim
-    n_train = cfg["n_train"] if cfg.get("n_train") else 5 * d
-    U = designs.halton(n_train, d).points
-    Y = fn.eval_unit(U)
-    base = kernel1d_from_config(
-        {"family": cfg["family"], "nu": cfg["nu"], "phi": cfg["phi"]}
-    )
-    if cfg["method"] == "ppgpr":
-        M = cfg["M"] if cfg.get("M") else default_node_count(n_train, d)
-        weight_seed = int(np.random.SeedSequence(seed).spawn(2)[1].generate_state(1)[0])
-        tc = TrainConfig(
-            eta=cfg["eta"], epochs=cfg["epochs"], M=M,
-            early_stop_rel=cfg["early_stop_rel"], seed=weight_seed,
-            nugget=cfg["nugget"], center=cfg["center"],
-        )
-        model = train(U, Y, base, tc)
-        return model, U, Y, M
-    structure = {"gp-iso": "isotropic", "gp-pro": "product", "gp-add": "additive"}.get(
-        cfg["method"]
-    )
-    if structure is None:
-        raise ConfigError(
-            f"unknown method {cfg['method']!r}; valid: gp-iso, gp-pro, gp-add, ppgpr"
-        )
-    kernel = MultivariateKernel(base=base, structure=structure, dim=d)
-    model = fit(U, Y, kernel, nugget=cfg["nugget"], center=cfg["center"])
-    return model, U, Y, None
+def _spec_fields(cfg: dict, keys: list[Key]) -> dict:
+    """The :class:`ModelSpec` fields that ``keys`` name, from a resolved config."""
+    return {k.name: cfg[k.name] for k in keys}
 
 
 def _run_design(cfg: dict) -> tuple[str, list[str]]:
-    gen = cfg["generator"]
-    if gen == "halton":
-        design = designs.halton(cfg["n"], cfg["d"])
-    elif gen == "randomized-lhs":
-        design = designs.randomized_lhs(cfg["n"], cfg["d"], cfg["seed"])
-    elif gen == "uniform-random":
-        design = designs.uniform_random(cfg["n"], cfg["d"], cfg["seed"])
-    else:
+    generate = designs.GENERATORS.get(cfg["generator"])
+    if generate is None:
         raise ConfigError(
-            f"unknown generator {gen!r}; valid: halton, randomized-lhs, uniform-random"
+            f"unknown generator {cfg['generator']!r}; "
+            f"valid: {', '.join(designs.GENERATORS)}"
         )
+    design = generate(cfg["n"], cfg["d"], cfg["seed"])
     lines = [_csv_line([f"x{j + 1}" for j in range(design.d)])]
     for row in design.points:
         lines.append(_csv_line(row))
@@ -376,8 +359,10 @@ def _run_design(cfg: dict) -> tuple[str, list[str]]:
 
 
 def _run_fit(cfg: dict) -> tuple[str, list[str]]:
+    spec = ModelSpec(cfg["method"], **_spec_fields(cfg, _MODEL_KEYS))
     t0 = time.perf_counter()
-    model, U, Y, M = _build_model(cfg, cfg["seed"])
+    U, Y = _halton_training(by_name(cfg["function"]), cfg["n_train"])
+    model = make_model(spec, U, Y, _experiment_seeds(cfg["seed"])[1])
     wall_ms = 1e3 * (time.perf_counter() - t0)
     save_model(model, cfg["model_out"])
     comments = [f"# wall_ms={wall_ms:.1f}", f"# model written to {cfg['model_out']}"]
@@ -391,7 +376,7 @@ def _run_fit(cfg: dict) -> tuple[str, list[str]]:
         body = "\n".join([
             "method,function,n_train,M,best_epoch,epochs_run,loss,diverged",
             _csv_line([
-                cfg["method"], cfg["function"], U.shape[0], M,
+                cfg["method"], cfg["function"], U.shape[0], model.M,
                 model.best_epoch, len(model.trace),
                 model.trace[model.best_epoch][1], int(model.diverged),
             ]),
@@ -448,14 +433,9 @@ def _run_eval_grid(cfg: dict) -> tuple[str, list[str]]:
 
 def _run_bench_table(cfg: dict) -> tuple[str, list[str]]:
     t0 = time.perf_counter()
-    reports = benchmark_table(
-        cfg["functions"], cfg["methods"], cfg["seeds"],
-        n_train=cfg.get("n_train"),
-        family=cfg["family"], nu=cfg["nu"], phi=cfg["phi"],
-        eta=cfg["eta"], epochs=cfg["epochs"], M=cfg.get("M"),
-        early_stop_rel=cfg["early_stop_rel"],
-        nugget=cfg["nugget"], center=cfg["center"],
-    )
+    fields = _spec_fields(cfg, _MODEL_KEYS)
+    specs = [ModelSpec(method, **fields) for method in cfg["methods"]]
+    reports = benchmark_table(cfg["functions"], specs, cfg["seeds"], n_train=cfg["n_train"])
     wall_ms = 1e3 * (time.perf_counter() - t0)
     lines = [_csv_line([
         "function", "method", "seed", "n_train", "n_test",
@@ -479,18 +459,12 @@ def _run_bench_table(cfg: dict) -> tuple[str, list[str]]:
 
 
 def _run_tune(cfg: dict) -> tuple[str, list[str]]:
-    fn = by_name(cfg["function"])
-    d = fn.dim
-    n_train = cfg["n_train"] if cfg.get("n_train") else 5 * d
-    U = designs.halton(n_train, d).points
-    Y = fn.eval_unit(U)
-    Ms = cfg["Ms"] if cfg.get("Ms") else (default_node_count(n_train, d),)
+    U, Y = _halton_training(by_name(cfg["function"]), cfg["n_train"])
+    Ms = (default_node_count(*U.shape),) if cfg["Ms"] is None else cfg["Ms"]
     grid = TuneGrid(etas=cfg["etas"], Ms=Ms, kernels=cfg["kernels"], folds=cfg["folds"])
     t0 = time.perf_counter()
     best, table = cross_validate(
-        U, Y, grid, cfg["seed"],
-        epochs=cfg["epochs"], early_stop_rel=cfg["early_stop_rel"],
-        nugget=cfg["nugget"], center=cfg["center"],
+        U, Y, grid, cfg["seed"], **_spec_fields(cfg, _TUNE_TRAIN_KEYS)
     )
     wall_ms = 1e3 * (time.perf_counter() - t0)
     lines = [_csv_line([

@@ -19,20 +19,22 @@ from .errors import DomainError
 
 __all__ = [
     "Design",
+    "GENERATORS",
     "halton",
     "randomized_lhs",
     "uniform_random",
     "marginal_fill_distance",
     "marginal_fill_distance_exact",
+    "moment_matrix",
     "regularity_order",
+    "distinct_within_points",
+    "distinct_across_points",
 ]
 
 _PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
     53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
 )
-
-GENERATORS = ("halton", "randomized-lhs", "uniform-random")
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,14 @@ def uniform_random(n: int, d: int, seed: int) -> Design:
         raise DomainError("n and d must be at least 1")
     rng = np.random.default_rng(seed)
     return Design(points=rng.random((n, d)), generator="uniform-random", seed=seed)
+
+
+# name -> generator(n, d, seed); Halton ignores the seed
+GENERATORS = {
+    "halton": lambda n, d, seed: halton(n, d),
+    "randomized-lhs": randomized_lhs,
+    "uniform-random": uniform_random,
+}
 
 
 def marginal_fill_distance(design: Design, j: int, grid: int = 10001) -> float:

@@ -1,5 +1,16 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "PpgpError",
+    "DomainError",
+    "SingularMatrixError",
+    "FitError",
+    "TrainingError",
+    "MetricError",
+    "ConfigError",
+    "ModelFormatError",
+]
+
 
 class PpgpError(Exception):
     """Base class for all library-specific errors."""

@@ -1,4 +1,4 @@
-"""Experiment harness: relative RMSE, train/test runs, cross-validation.
+"""Experiment harness: model specs, relative RMSE, train/test runs, cross-validation.
 
 The headline metric is the relative root mean square error
 
@@ -7,28 +7,35 @@ The headline metric is the relative root mean square error
 which is undefined when any truth value is zero; an absolute RMSE is
 provided as the secondary metric and as the fallback inside the tuner.
 
+A :class:`ModelSpec` names one of the four surrogates (isotropic /
+product / additive GP, or the projection-pursuit GP) with its kernel and
+training hyperparameters, and :func:`make_model` fits it to a training
+set.  Every route to a model goes through that pair: ``run_experiment``,
+``cross_validate``, ``benchmark_table`` and the command line.
+
 ``run_experiment`` reproduces the standard benchmark protocol: Halton
 training design of size 5 d (unless overridden), 500 seeded
-uniform-random test points, one of four model families (isotropic /
-product / additive GP, or the projection-pursuit GP).
+uniform-random test points, weights seeded from the same master seed.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .benchmarks import by_name
+from .benchmarks import BenchmarkFn, by_name
 from .designs import halton, uniform_random
 from .errors import ConfigError, MetricError, TrainingError
-from .gp import DEFAULT_NUGGET, fit
-from .kernels import Kernel1d, MultivariateKernel, kernel1d_from_config
-from .pursuit import TrainConfig, default_node_count, train
+from .gp import GpModel, fit
+from .kernels import MultivariateKernel, kernel1d_from_config
+from .pursuit import PpgprModel, TrainConfig, default_node_count, train
 
 __all__ = [
     "METHODS",
+    "ModelSpec",
+    "make_model",
     "rmse",
     "rmse_absolute",
     "ExperimentReport",
@@ -42,16 +49,73 @@ __all__ = [
 METHODS = ("gp-iso", "gp-pro", "gp-add", "ppgpr")
 
 _METHOD_STRUCTURE = {"gp-iso": "isotropic", "gp-pro": "product", "gp-add": "additive"}
+# uniform-random test points per experiment
+_N_TEST = 500
 
 
-def rmse(pred, truth) -> float:
-    """Relative root mean square error; errors when any truth value is 0."""
+@dataclass(frozen=True)
+class ModelSpec:
+    """One surrogate: its method, 1-d kernel and training hyperparameters.
+
+    ``M=None`` means :func:`default_node_count` of the training set.  The
+    GP methods use only the kernel, ``nugget`` and ``center``; ``eta``,
+    ``epochs``, ``M`` and ``early_stop_rel`` (0 disables early stopping)
+    train the projection-pursuit weights.
+    """
+
+    method: str
+    family: str = "matern"
+    nu: float | None = 2.5
+    phi: float = 1.0
+    eta: float = 1e-9
+    epochs: int = 150
+    M: int | None = None
+    early_stop_rel: float = TrainConfig.early_stop_rel
+    nugget: float = TrainConfig.nugget
+    center: bool = TrainConfig.center
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ConfigError(
+                f"unknown method {self.method!r}; valid: {', '.join(METHODS)}"
+            )
+
+
+def make_model(spec: ModelSpec, U: np.ndarray, Y: np.ndarray,
+               weight_seed: int) -> GpModel | PpgprModel:
+    """Fit ``spec``'s surrogate to responses ``Y`` at the rows of ``U``.
+
+    ``weight_seed`` seeds the initial projection weights (unused by the GP
+    methods).
+    """
+    base = kernel1d_from_config({"family": spec.family, "nu": spec.nu, "phi": spec.phi})
+    if spec.method == "ppgpr":
+        cfg = TrainConfig(
+            eta=spec.eta, epochs=spec.epochs,
+            M=default_node_count(*U.shape) if spec.M is None else spec.M,
+            early_stop_rel=spec.early_stop_rel, seed=weight_seed,
+            nugget=spec.nugget, center=spec.center,
+        )
+        return train(U, Y, base, cfg)
+    kernel = MultivariateKernel(
+        base=base, structure=_METHOD_STRUCTURE[spec.method], dim=U.shape[1]
+    )
+    return fit(U, Y, kernel, nugget=spec.nugget, center=spec.center)
+
+
+def _vectors(pred, truth) -> tuple[np.ndarray, np.ndarray]:
     pred = np.asarray(pred, dtype=float).reshape(-1)
     truth = np.asarray(truth, dtype=float).reshape(-1)
     if pred.shape != truth.shape:
         raise MetricError(f"length mismatch: {pred.shape[0]} vs {truth.shape[0]}")
     if truth.shape[0] == 0:
         raise MetricError("empty vectors")
+    return pred, truth
+
+
+def rmse(pred, truth) -> float:
+    """Relative root mean square error; errors when any truth value is 0."""
+    pred, truth = _vectors(pred, truth)
     if np.any(truth == 0.0):
         raise MetricError(
             "relative RMSE undefined: truth contains zeros "
@@ -62,12 +126,7 @@ def rmse(pred, truth) -> float:
 
 def rmse_absolute(pred, truth) -> float:
     """Plain root mean square error, the secondary metric."""
-    pred = np.asarray(pred, dtype=float).reshape(-1)
-    truth = np.asarray(truth, dtype=float).reshape(-1)
-    if pred.shape != truth.shape:
-        raise MetricError(f"length mismatch: {pred.shape[0]} vs {truth.shape[0]}")
-    if truth.shape[0] == 0:
-        raise MetricError("empty vectors")
+    pred, truth = _vectors(pred, truth)
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
@@ -101,75 +160,61 @@ def _experiment_seeds(seed: int) -> tuple[int, int]:
     return tuple(int(c.generate_state(1)[0]) for c in children)
 
 
+def _halton_training(fn: BenchmarkFn, n_train: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The protocol's training set: ``n_train`` Halton points (5 d when
+    None) in the unit cube and ``fn``'s values there."""
+    U = halton(5 * fn.dim if n_train is None else n_train, fn.dim).points
+    return U, fn.eval_unit(U)
+
+
 def run_experiment(
     method: str,
     function: str,
     n_train: int | None = None,
-    n_test: int = 500,
+    n_test: int = _N_TEST,
     seed: int = 0,
-    *,
-    family: str = "matern",
-    nu: float | None = 2.5,
-    phi: float = 1.0,
-    eta: float = 1e-9,
-    epochs: int = 150,
-    M: int | None = None,
-    early_stop_rel: float = 0.04,
-    nugget: float = DEFAULT_NUGGET,
-    center: bool = True,
+    **hyper,
 ) -> ExperimentReport:
     """Train/test one model on one benchmark function.
 
-    Training design is Halton (deterministic, defaults to 5 d points);
-    test design is seeded uniform-random.  The seed drives the test
-    design and, for the projection-pursuit model, the weight
-    initialization, through independently spawned child seeds.
-    ``early_stop_rel=0`` disables early stopping so the full epoch
-    budget is always used.
+    ``hyper`` sets the other :class:`ModelSpec` fields (``family``,
+    ``nu``, ``phi``, ``eta``, ``epochs``, ``M``, ``early_stop_rel``,
+    ``nugget``, ``center``); the rest keep its defaults.  Training design
+    is Halton (deterministic, defaults to 5 d points); test design is
+    seeded uniform-random.  The seed drives the test design and, for the
+    projection-pursuit model, the weight initialization, through
+    independently spawned child seeds.
     """
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
-    fn = by_name(function)
-    d = fn.dim
-    if n_train is None:
-        n_train = 5 * d
-    test_seed, weight_seed = _experiment_seeds(seed)
+    return _experiment(ModelSpec(method, **hyper), function, n_train, n_test, seed)
 
-    U_train = halton(n_train, d).points
-    Y_train = fn.eval_unit(U_train)
-    U_test = uniform_random(n_test, d, test_seed).points
+
+def _experiment(spec: ModelSpec, function: str, n_train: int | None,
+                n_test: int, seed: int) -> ExperimentReport:
+    fn = by_name(function)
+    test_seed, weight_seed = _experiment_seeds(seed)
+    U_train, Y_train = _halton_training(fn, n_train)
+    U_test = uniform_random(n_test, fn.dim, test_seed).points
     Y_test = fn.eval_unit(U_test)
 
-    base = kernel1d_from_config({"family": family, "nu": nu, "phi": phi})
     t0 = time.perf_counter()
-    hyper: dict = {"family": family, "nu": nu, "phi": phi}
-    diverged = False
-    if method == "ppgpr":
-        if M is None:
-            M = default_node_count(n_train, d)
-        cfg = TrainConfig(
-            eta=eta, epochs=epochs, M=M, early_stop_rel=early_stop_rel,
-            seed=weight_seed, nugget=nugget, center=center,
-        )
-        model = train(U_train, Y_train, base, cfg)
-        pred = model.predict(U_test)
-        diverged = model.diverged
-        hyper.update(eta=eta, epochs=epochs, M=M)
-    else:
-        kernel = MultivariateKernel(base=base, structure=_METHOD_STRUCTURE[method], dim=d)
-        model = fit(U_train, Y_train, kernel, nugget=nugget, center=center)
-        pred = model.predict(U_test)
+    model = make_model(spec, U_train, Y_train, weight_seed)
+    pred = model.predict(U_test)
     wall_ms = 1e3 * (time.perf_counter() - t0)
+    hyper: dict = {"family": spec.family, "nu": spec.nu, "phi": spec.phi}
+    diverged = False
+    if isinstance(model, PpgprModel):
+        hyper.update(eta=spec.eta, epochs=spec.epochs, M=model.M)
+        diverged = model.diverged
 
     return ExperimentReport(
-        method=method,
+        method=spec.method,
         function=function,
-        n_train=n_train,
+        n_train=U_train.shape[0],
         n_test=n_test,
         seed=seed,
         rmse=_safe_rmse(pred, Y_test),
         rmse_abs=rmse_absolute(pred, Y_test),
-        centered=center,
+        centered=spec.center,
         wall_ms=wall_ms,
         hyperparameters=hyper,
         diverged=diverged,
@@ -218,47 +263,47 @@ def fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
 
+# ModelSpec fields that each TuneGrid point sets
+_GRID_FIELDS = ("family", "nu", "phi", "eta", "M")
+
+
 def cross_validate(
     X: np.ndarray,
     Y: np.ndarray,
     grid: TuneGrid,
     seed: int = 0,
-    *,
-    epochs: int = 150,
-    early_stop_rel: float = 0.04,
-    nugget: float = DEFAULT_NUGGET,
-    center: bool = True,
+    **hyper,
 ) -> tuple[dict, list[dict]]:
     """K-fold tuning of the projection-pursuit model.
 
+    ``hyper`` sets the training fields of :class:`ModelSpec` that the grid
+    does not (``epochs``, ``early_stop_rel``, ``nugget``, ``center``).
     Returns (best point, fold table).  The table has one row per (grid
     point, fold) with the held-out RMSE (relative, absolute fallback on
     exact zeros); the best point minimizes the mean fold RMSE.
     """
+    clash = sorted(set(hyper) & set(_GRID_FIELDS))
+    if clash:
+        raise TypeError(f"cross_validate() takes {', '.join(clash)} from the grid, "
+                        "not as keywords")
+    spec = ModelSpec("ppgpr", **hyper)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float).reshape(-1)
-    n = X.shape[0]
-    if grid.folds > n:
-        raise ConfigError(f"folds ({grid.folds}) exceeds sample size ({n})")
     fold_seed, weight_seed = _experiment_seeds(seed)
-    folds = fold_indices(n, grid.folds, fold_seed)
-    all_idx = np.arange(n)
+    folds = fold_indices(X.shape[0], grid.folds, fold_seed)
+    all_idx = np.arange(X.shape[0])
 
     table: list[dict] = []
     scored: list[tuple] = []
     for gi, point in enumerate(grid.points()):
         family, nu, phi = point["kernel"]
-        base = kernel1d_from_config({"family": family, "nu": nu, "phi": phi})
+        point_spec = replace(spec, family=family, nu=nu, phi=phi,
+                             eta=point["eta"], M=point["M"])
         fold_scores = []
         for fi, hold in enumerate(folds):
             train_idx = np.setdiff1d(all_idx, hold)
-            cfg = TrainConfig(
-                eta=point["eta"], epochs=epochs, M=point["M"],
-                early_stop_rel=early_stop_rel, seed=weight_seed,
-                nugget=nugget, center=center,
-            )
             try:
-                model = train(X[train_idx], Y[train_idx], base, cfg)
+                model = make_model(point_spec, X[train_idx], Y[train_idx], weight_seed)
                 score = _safe_rmse(model.predict(X[hold]), Y[hold])
             except TrainingError:
                 score = np.inf
@@ -280,29 +325,14 @@ def cross_validate(
 
 def benchmark_table(
     functions,
-    methods,
+    specs,
     seeds,
     *,
     n_train: int | None = None,
-    family: str = "matern",
-    nu: float | None = 2.5,
-    phi: float = 1.0,
-    eta: float = 1e-9,
-    epochs: int = 150,
-    M: int | None = None,
-    early_stop_rel: float = 0.04,
-    nugget: float = DEFAULT_NUGGET,
-    center: bool = True,
 ) -> list[ExperimentReport]:
-    """Reports for every (function, method, seed), in deterministic order."""
-    reports = []
-    for function in functions:
-        for method in methods:
-            for seed in seeds:
-                reports.append(run_experiment(
-                    method, function, n_train=n_train, seed=seed,
-                    family=family, nu=nu, phi=phi, eta=eta, epochs=epochs,
-                    M=M, early_stop_rel=early_stop_rel,
-                    nugget=nugget, center=center,
-                ))
-    return reports
+    """Reports for every (function, :class:`ModelSpec`, seed), in that
+    nested order."""
+    return [
+        _experiment(spec, function, n_train, _N_TEST, seed)
+        for function in functions for spec in specs for seed in seeds
+    ]

@@ -44,11 +44,6 @@ class GpModel:
     def dim(self) -> int:
         return self.design.shape[1]
 
-    def predict_mean(self, x) -> float:
-        """Posterior-mean prediction at a single point."""
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        return float(self.predict(x)[0])
-
     def predict(self, X) -> np.ndarray:
         """Posterior-mean predictions at the rows of ``X`` (m x dim).
 
@@ -74,11 +69,6 @@ class GpModel:
         v = solve_spd(self.chol, r.T)
         p2 = 1.0 - np.einsum("ij,ji->i", r, v)
         return np.maximum(p2, 0.0)
-
-    def predictive_variance(self, x) -> float:
-        """Kriging variance ``sigma2_hat * (1 - r^T (K + delta I)^-1 r)`` at a point."""
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        return float(self.sigma2_hat * self.p_squared(x)[0])
 
     def log_likelihood(self) -> float:
         """The fitted objective ``Y^T (K + delta I)^-1 Y + log det(K + delta I)``.

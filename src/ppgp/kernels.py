@@ -45,7 +45,6 @@ __all__ = [
     "matern",
     "gaussian",
     "kernel1d_from_config",
-    "multivariate_from_config",
     "STRUCTURES",
 ]
 
@@ -311,8 +310,3 @@ class MultivariateKernel:
         cfg = self.base.as_config()
         cfg["structure"] = self.structure
         return cfg
-
-
-def multivariate_from_config(cfg: dict, dim: int) -> MultivariateKernel:
-    """Build a :class:`MultivariateKernel` from a config mapping plus dim."""
-    return MultivariateKernel(kernel1d_from_config(cfg), cfg["structure"], dim)

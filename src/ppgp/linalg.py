@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
 from .errors import SingularMatrixError
 
@@ -17,7 +17,6 @@ __all__ = [
     "CholFactor",
     "cholesky_with_jitter",
     "solve_spd",
-    "solve_lower",
     "logdet",
     "inverse_spd",
 ]
@@ -89,11 +88,6 @@ def solve_spd(F: CholFactor, b: np.ndarray) -> np.ndarray:
             f"right-hand side has length {b.shape[0]}, factor is {F.n}x{F.n}"
         )
     return cho_solve((F.lower, True), b)
-
-
-def solve_lower(F: CholFactor, b: np.ndarray) -> np.ndarray:
-    """Solve ``L x = b`` against the lower factor only."""
-    return solve_triangular(F.lower, b, lower=True)
 
 
 def logdet(F: CholFactor) -> float:

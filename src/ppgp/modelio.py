@@ -11,10 +11,11 @@ without refitting.
 from __future__ import annotations
 
 import io
+from dataclasses import fields
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import ModelFormatError, PpgpError
 from .gp import GpModel
 from .kernels import MultivariateKernel, kernel1d_from_config
 from .linalg import CholFactor
@@ -24,10 +25,21 @@ __all__ = ["save_model", "load_model", "dumps_model", "loads_model"]
 
 _MAGIC = "ppgp-model"
 _VERSION = 1
+# TrainConfig fields are written in declaration order under their own
+# names, except these two, which keep a prefix on disk
+_CONFIG_KEYS = {"nugget": "cfg_nugget", "center": "cfg_center"}
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+# annotated type of a TrainConfig field -> (format, parse)
+_FIELD_CODECS = {
+    "float": (_fmt, float),
+    "int": (str, int),
+    "bool": (lambda b: str(int(b)), lambda text: bool(int(text))),
+}
 
 
 def _write_vector(out, name: str, v) -> None:
@@ -66,15 +78,10 @@ def dumps_model(model) -> str:
     out = io.StringIO()
     out.write(f"{_MAGIC} {_VERSION}\n")
     if isinstance(model, PpgprModel):
-        cfg = model.config
         out.write("kind ppgpr\n")
-        out.write(f"eta {_fmt(cfg.eta)}\n")
-        out.write(f"epochs {cfg.epochs}\n")
-        out.write(f"M {cfg.M}\n")
-        out.write(f"early_stop_rel {_fmt(cfg.early_stop_rel)}\n")
-        out.write(f"seed {cfg.seed}\n")
-        out.write(f"cfg_nugget {_fmt(cfg.nugget)}\n")
-        out.write(f"cfg_center {int(cfg.center)}\n")
+        for f in fields(TrainConfig):
+            text = _FIELD_CODECS[f.type][0](getattr(model.config, f.name))
+            out.write(f"{_CONFIG_KEYS.get(f.name, f.name)} {text}\n")
         out.write(f"best_epoch {model.best_epoch}\n")
         out.write(f"diverged {int(model.diverged)}\n")
         _write_matrix(out, "W", model.W)
@@ -177,8 +184,22 @@ def _read_gp(r: _Reader) -> GpModel:
 
 
 def loads_model(text: str):
-    """Parse a serialized model; returns a GpModel or PpgprModel."""
+    """Parse a serialized model; returns a GpModel or PpgprModel.
+
+    A malformed file, a number that does not parse included, raises
+    ``ModelFormatError``; a well-formed value outside its domain raises
+    ``DomainError``.
+    """
     r = _Reader(text)
+    try:
+        return _parse(r)
+    except PpgpError:
+        raise
+    except ValueError as exc:
+        raise ModelFormatError(f"line {r.pos}: {exc}") from None
+
+
+def _parse(r: _Reader):
     header = r.next_line().split()
     if len(header) != 2 or header[0] != _MAGIC:
         raise ModelFormatError("not a model file (bad magic line)")
@@ -188,13 +209,10 @@ def loads_model(text: str):
     if kind == "gp":
         model = _read_gp(r)
     elif kind == "ppgpr":
-        eta = float(r.key_value("eta"))
-        epochs = int(r.key_value("epochs"))
-        M = int(r.key_value("M"))
-        early_stop_rel = float(r.key_value("early_stop_rel"))
-        seed = int(r.key_value("seed"))
-        cfg_nugget = float(r.key_value("cfg_nugget"))
-        cfg_center = bool(int(r.key_value("cfg_center")))
+        config = {
+            f.name: _FIELD_CODECS[f.type][1](r.key_value(_CONFIG_KEYS.get(f.name, f.name)))
+            for f in fields(TrainConfig)
+        }
         best_epoch = int(r.key_value("best_epoch"))
         diverged = bool(int(r.key_value("diverged")))
         W = r.matrix("W")
@@ -203,15 +221,11 @@ def loads_model(text: str):
         if r.next_line() != "inner":
             raise ModelFormatError("expected 'inner' section")
         inner = _read_gp(r)
-        config = TrainConfig(
-            eta=eta, epochs=epochs, M=M, early_stop_rel=early_stop_rel,
-            seed=seed, nugget=cfg_nugget, center=cfg_center,
-        )
         trace = tuple(
             (int(e), float(l)) for e, l in zip(trace_epochs, trace_losses)
         )
         model = PpgprModel(
-            W=W, inner=inner, trace=trace, config=config,
+            W=W, inner=inner, trace=trace, config=TrainConfig(**config),
             best_epoch=best_epoch, diverged=diverged,
         )
     else:

@@ -113,10 +113,6 @@ class PpgprModel:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return self.inner.predict(transform(self.W, X))
 
-    def predict_mean(self, x) -> float:
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        return float(self.predict(x)[0])
-
 
 def init_weights(d: int, M: int, seed: int) -> np.ndarray:
     """Initial M x d weight matrix, entries i.i.d. normal(0, 1/d)."""

@@ -7,7 +7,8 @@ output files can be checked directly.
 import numpy as np
 import pytest
 
-from ppgp import cli, load_model
+from ppgp import ModelSpec, by_name, cli, dumps_model, halton, load_model, make_model
+from ppgp.evaluation import _experiment_seeds
 
 
 def _body_lines(path):
@@ -183,6 +184,36 @@ class TestFitPredict:
         assert rc == 0
         assert len(_body_lines(pred_path)) == 3
 
+    @pytest.mark.parametrize("method", ["gp-iso", "gp-pro", "gp-add", "ppgpr"])
+    def test_model_file_is_the_library_factory_model(self, tmp_path, method):
+        """`ppgp fit` builds its model with make_model and the weight seed
+        of the experiment harness: the file matches byte for byte."""
+        model_path = tmp_path / "model.txt"
+        assert cli.main(["fit", "--function", "xy-plus-x2", "--method", method,
+                         "--n-train", "12", "--epochs", "5", "--eta", "1e-8",
+                         "--seed", "3", "--model-out", str(model_path),
+                         "--out", str(tmp_path / "fit.csv")]) == 0
+        U = halton(12, 2).points
+        Y = by_name("xy-plus-x2").eval_unit(U)
+        spec = ModelSpec(method, eta=1e-8, epochs=5)
+        model = make_model(spec, U, Y, _experiment_seeds(3)[1])
+        assert model_path.read_text(encoding="ascii") == dumps_model(model)
+
+    def test_corrupt_number_in_model_file_is_usage_error(self, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        assert cli.main(["fit", "--function", "xy-plus-x2", "--method", "gp-add",
+                         "--model-out", str(model_path),
+                         "--out", str(tmp_path / "f.csv")]) == 0
+        text = model_path.read_text(encoding="ascii")
+        model_path.write_text(text.replace("\nphi 1.0\n", "\nphi abc\n"),
+                              encoding="ascii")
+        points_path = tmp_path / "points.csv"
+        points_path.write_text("0.5,0.5\n")
+        rc = cli.main(["predict", "--model", str(model_path),
+                       "--points", str(points_path)])
+        assert rc == 1
+        assert "abc" in capsys.readouterr().err
+
     def test_predict_missing_model_file(self, tmp_path, capsys):
         points_path = tmp_path / "points.csv"
         points_path.write_text("0.5,0.5\n")
@@ -190,6 +221,28 @@ class TestFitPredict:
                        "--points", str(points_path)])
         assert rc == 1
         assert "cannot read" in capsys.readouterr().err
+
+
+class TestGivenValuesAreNotDefaults:
+    """Only an absent key takes its default: a given 0 is validated."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--function", "xy-plus-x2", "--n-train", "0"],
+        ["fit", "--function", "xy-plus-x2", "--method", "ppgpr", "--M", "0"],
+        ["tune", "--function", "xy-plus-x2", "--n-train", "0"],
+        ["tune", "--function", "xy-plus-x2", "--Ms", ""],
+        ["bench-table", "--functions", "xy-plus-x2", "--methods", "gp-iso",
+         "--n-train", "0"],
+    ])
+    def test_zero_or_empty_is_usage_error(self, tmp_path, capsys, argv):
+        model_path = tmp_path / "model.txt"
+        out = tmp_path / "out.csv"
+        if argv[0] == "fit":
+            argv = argv + ["--model-out", str(model_path)]
+        rc = cli.main(argv + ["--epochs", "2", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() and not model_path.exists()
 
 
 class TestEvalGrid:

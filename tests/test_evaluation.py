@@ -7,12 +7,18 @@ import pytest
 
 from ppgp import (
     ConfigError,
+    GpModel,
     MetricError,
+    ModelSpec,
+    PpgprModel,
+    TrainConfig,
     TuneGrid,
     by_name,
     cross_validate,
+    default_node_count,
     fold_indices,
     halton,
+    make_model,
     rmse,
     rmse_absolute,
     run_experiment,
@@ -174,6 +180,37 @@ class TestCrossValidate:
         grid = TuneGrid(etas=(1e-8,), Ms=(5,), folds=5)
         with pytest.raises(ConfigError):
             cross_validate(X, Y, grid, seed=0)
+
+
+class TestModelSpec:
+    """The one spec and factory behind every model."""
+
+    def test_training_defaults_come_from_train_config(self):
+        spec = ModelSpec("ppgpr")
+        assert spec.early_stop_rel == TrainConfig.early_stop_rel
+        assert spec.nugget == TrainConfig.nugget
+        assert spec.center == TrainConfig.center
+        assert spec.M is None
+
+    def test_factory_builds_each_method(self):
+        U = halton(12, 2).points
+        Y = by_name("xy-plus-x2").eval_unit(U)
+        structures = {"gp-iso": "isotropic", "gp-pro": "product", "gp-add": "additive"}
+        for method, structure in structures.items():
+            model = make_model(ModelSpec(method, nugget=1e-5), U, Y, 0)
+            assert isinstance(model, GpModel)
+            assert model.kernel.structure == structure and model.nugget == 1e-5
+        model = make_model(ModelSpec("ppgpr", epochs=2), U, Y, 7)
+        assert isinstance(model, PpgprModel)
+        assert model.M == default_node_count(12, 2)
+        assert model.config.seed == 7 and model.config.epochs == 2
+
+    def test_cross_validate_takes_grid_fields_from_the_grid(self):
+        U = halton(12, 2).points
+        Y = by_name("xy-plus-x2").eval_unit(U)
+        grid = TuneGrid(etas=(1e-8,), Ms=(3,), folds=2)
+        with pytest.raises(TypeError, match="eta"):
+            cross_validate(U, Y, grid, seed=0, eta=1e-9)
 
 
 class TestRunExperiment:

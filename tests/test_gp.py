@@ -52,8 +52,8 @@ class TestFitBasics:
         """d=1, x={0,1}, Y=(1,2): prediction at 0 is 1 within 1e-3."""
         X = np.array([[0.0], [1.0]])
         m = fit(X, np.array([1.0, 2.0]), iso_kernel(1))
-        assert abs(m.predict_mean(np.array([0.0])) - 1.0) <= 1e-3
-        assert abs(m.predict_mean(np.array([1.0])) - 2.0) <= 1e-3
+        assert abs(m.predict(np.array([[0.0]]))[0] - 1.0) <= 1e-3
+        assert abs(m.predict(np.array([[1.0]]))[0] - 2.0) <= 1e-3
 
     def test_interpolation_bound_spread_designs(self):
         """max |predict(x_i) - y_i| <= 1e-3 max|Y| at the default nugget.
@@ -173,12 +173,13 @@ class TestPredictiveVariance:
         assert np.max(m.p_squared(X)) <= 10.0 * m.nugget
 
     def test_variance_far_away_equals_sigma2(self):
-        """r(x) ~ 0 far from the data, so the variance tends to sigma^2."""
+        """r(x) ~ 0 far from the data, so p^2 tends to 1 and the kriging
+        variance sigma^2 p^2 to sigma^2."""
         X = halton(10, 1).points
         Y = 1.0 + X[:, 0] ** 2
         m = fit(X, Y, iso_kernel(1))
-        far = np.array([80.0])
-        assert np.isclose(m.predictive_variance(far), m.sigma2_hat, rtol=1e-8)
+        far = np.array([[80.0]])
+        assert np.isclose(m.p_squared(far)[0], 1.0, rtol=1e-8)
         assert m.sigma2_hat >= 0.0
 
     def test_variance_is_clamped_not_negative(self):
@@ -284,7 +285,7 @@ class TestPermutationInvariance:
             assert np.array_equal(m.predict(Xt), mp.predict(Xt[:, perm]))
 
     def test_batch_predict_equals_single_predicts(self):
-        """predict on a matrix equals predict_mean row by row, bitwise,
+        """predict on a matrix equals one-row predicts, bitwise,
         also for a batch spanning several row blocks of cross."""
         X = halton(12, 3).points
         Y = X[:, 0] + 2.0 * X[:, 1] ** 2 + np.sin(X[:, 2])
@@ -295,7 +296,7 @@ class TestPermutationInvariance:
             m = fit(X, Y, kernel)
             for Xt in batches:
                 batch = m.predict(Xt)
-                singles = np.array([m.predict_mean(x) for x in Xt])
+                singles = np.array([m.predict(x[None, :])[0] for x in Xt])
                 assert np.array_equal(batch, singles), kernel.structure
 
 

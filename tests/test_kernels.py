@@ -22,7 +22,6 @@ from ppgp import (
     gaussian,
     kernel1d_from_config,
     matern,
-    multivariate_from_config,
 )
 from ppgp.kernels import BLOCK_LAGS
 
@@ -485,13 +484,3 @@ class TestMultivariateKernel:
             MultivariateKernel(base=matern(2.5), structure="radial", dim=2)
         with pytest.raises(DomainError):
             MultivariateKernel(base=matern(2.5), structure="additive", dim=0)
-
-    def test_multivariate_from_config(self):
-        """Config dict round trip builds the same kernel."""
-        mk = multivariate_from_config(
-            {"family": "matern", "nu": 2.5, "phi": 1.0, "structure": "additive"},
-            dim=4,
-        )
-        assert mk.structure == "additive"
-        assert mk.dim == 4
-        assert mk.base.nu == 2.5

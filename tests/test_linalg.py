@@ -14,7 +14,6 @@ from ppgp import (
     cholesky_with_jitter,
     inverse_spd,
     logdet,
-    solve_lower,
     solve_spd,
 )
 
@@ -138,18 +137,6 @@ class TestSolves:
         assert X.shape == (6, 4)
         for j in range(4):
             assert np.allclose(X[:, j], solve_spd(f, B[:, j]), rtol=1e-12)
-
-    def test_solve_lower_triangular(self):
-        """Forward substitution solves L y = b against the stored factor.
-
-        A = [[4, 2], [2, 10]] factors to L = [[2, 0], [1, 3]], and
-        L y = (4, 8) has the hand solution y = (2, 2).
-        """
-        A = np.array([[4.0, 2.0], [2.0, 10.0]])
-        f = cholesky_with_jitter(A, 0.0)
-        assert np.allclose(f.lower, np.array([[2.0, 0.0], [1.0, 3.0]]), rtol=1e-14)
-        y = solve_lower(f, np.array([4.0, 8.0]))
-        assert np.allclose(y, np.array([2.0, 2.0]), rtol=1e-14)
 
     def test_dim_mismatch_rejected(self):
         """A right-hand side of the wrong length raises."""

@@ -1,9 +1,14 @@
 """Tests for model serialization round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppgp import (
+    DomainError,
     ModelFormatError,
     MultivariateKernel,
     TrainConfig,
@@ -85,6 +90,76 @@ class TestPpgprRoundTrip:
         assert back.best_epoch == model.best_epoch
         assert back.diverged == model.diverged
         assert back.config == model.config
+
+
+def _small_ppgpr():
+    X, Y = _borehole_data(12)
+    cfg = TrainConfig(eta=1e-8, epochs=3, M=4, seed=1, early_stop_rel=0.0)
+    return train(X, Y, matern(2.5, 1.0), cfg)
+
+
+_PPGPR = _small_ppgpr()
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    eta=_non_negative, early_stop_rel=_finite, nugget=_non_negative,
+    epochs=st.integers(1, 2**62), M=st.integers(1, 2**62),
+    seed=st.integers(0, 2**64 - 1), center=st.booleans(),
+)
+def test_train_config_round_trips(eta, early_stop_rel, nugget, epochs, M, seed, center):
+    """Every TrainConfig field survives dumps/loads exactly."""
+    cfg = TrainConfig(eta=eta, epochs=epochs, M=M, early_stop_rel=early_stop_rel,
+                      seed=seed, nugget=nugget, center=center)
+    model = dataclasses.replace(_PPGPR, config=cfg)
+    assert loads_model(dumps_model(model)).config == cfg
+
+
+def _replace_line(text, key, value):
+    """Set the first ``key ...`` line of a model file to ``key value``."""
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.split(" ", 1)[0] == key)
+    lines[i] = f"{key} {value}"
+    return "\n".join(lines) + "\n"
+
+
+def _corrupt_row_after(text, header):
+    """Make the first number below a vector/matrix header unparseable."""
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(header)) + 1
+    lines[i] = "1.0x " + lines[i].split(" ", 1)[-1]
+    return "\n".join(lines) + "\n"
+
+
+class TestMalformedNumbers:
+    """A number that does not parse is a ModelFormatError, never a bare
+    ValueError; a parsed value outside its domain stays a DomainError."""
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda t: _replace_line(t, "eta", "oops"),
+        lambda t: _replace_line(t, "epochs", "2.5"),
+        lambda t: _replace_line(t, "cfg_center", "yes"),
+        lambda t: _replace_line(t, "phi", "abc"),
+        lambda t: _replace_line(t, "jitter_used", "abc"),
+        lambda t: _corrupt_row_after(t, "vector trace_losses"),
+        lambda t: _corrupt_row_after(t, "vector alpha"),
+        lambda t: _corrupt_row_after(t, "matrix W"),
+        lambda t: _corrupt_row_after(t, "matrix chol"),
+        lambda t: t.replace("matrix W 4 8", "matrix W four 8"),
+        lambda t: t.replace("ppgp-model 1", "ppgp-model one"),
+    ])
+    def test_unparseable_number_is_format_error(self, corrupt):
+        text = corrupt(dumps_model(_PPGPR))
+        assert text != dumps_model(_PPGPR)
+        with pytest.raises(ModelFormatError, match="line"):
+            loads_model(text)
+
+    def test_value_outside_domain_stays_domain_error(self):
+        text = _replace_line(dumps_model(_PPGPR), "phi", "-1.0")
+        with pytest.raises(DomainError):
+            loads_model(text)
 
 
 class TestFileAndErrors:

@@ -412,7 +412,7 @@ class TestTrain:
         m = train(X, Y, matern(2.5), cfg)
         Xt = uniform_random(500, 8, 13).points
         batch = m.predict(Xt)
-        singles = np.array([m.predict_mean(x) for x in Xt])
+        singles = np.array([m.predict(x[None, :])[0] for x in Xt])
         assert np.array_equal(batch, singles)
 
     def test_row_permuted_w0_gives_identical_loss_trace(self):
