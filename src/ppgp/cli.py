@@ -15,8 +15,11 @@ Unknown keys are rejected with the list of valid keys, missing required
 keys with an example snippet.
 
 All output is CSV.  Comment lines (``# ...``) record the resolved
-configuration, the master seed, and wall-clock times; the body below them
-is deterministic, so identical configs produce byte-identical bodies.
+configuration, the master seed, and the subcommand's wall-clock time
+(``# wall_ms=``); the body below them is deterministic, so identical
+configs produce byte-identical bodies.  The ``# config key=value`` lines,
+written to a file without their ``# config`` prefix, replay the run
+through ``--config``.
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure.
 """
@@ -64,14 +67,33 @@ _NUMERICAL_ERRORS = (SingularMatrixError, FitError, TrainingError, MetricError)
 
 @dataclass(frozen=True)
 class Key:
-    """One config entry: name, type tag, default (as text), requiredness."""
+    """One config entry: name, kind (a :data:`_KINDS` entry), default (as
+    text), requiredness; the example defaults to ``name=default``."""
 
     name: str
-    kind: str  # str | int | float | bool | ints | floats | strs | kernels
+    kind: str
     default: str | None = None
     required: bool = False
     example: str = ""
     help: str = ""
+
+    def __post_init__(self):
+        if not self.example and self.default is not None:
+            object.__setattr__(self, "example", f"{self.name}={self.default}")
+
+
+def _fmt(x) -> str:
+    """One CSV cell: floats in round-trip ``repr``, None as an empty cell."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return "" if x is None else str(x)
+
+
+def _count(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError("expected a non-negative integer")
+    return value
 
 
 def _parse_bool(raw: str) -> bool:
@@ -80,55 +102,48 @@ def _parse_bool(raw: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean (1/0/true/false), got {raw!r}")
+    raise ValueError("expected a boolean (1/0/true/false)")
 
 
-def _parse_kernels(raw: str):
-    """family:nu:phi triples separated by ';' (nu ignored for gaussian)."""
+def _parse_kernels(raw: str) -> tuple:
+    """family:nu:phi triples separated by ';' (nu '-' or empty for none)."""
     out = []
     for part in raw.split(";"):
-        fields = part.strip().split(":")
+        fields = [f.strip() for f in part.split(":")]
         if len(fields) != 3:
-            raise ConfigError(
-                f"kernel spec {part!r} is not family:nu:phi (e.g. matern:2.5:1.0)"
-            )
-        family = fields[0].strip()
-        nu = None if fields[1].strip() in ("", "-") else float(fields[1])
-        phi = float(fields[2])
-        out.append((family, nu, phi))
+            raise ValueError(f"{part!r} is not family:nu:phi (e.g. matern:2.5:1.0)")
+        family, nu, phi = fields
+        out.append((family, None if nu in ("", "-") else float(nu), float(phi)))
     return tuple(out)
 
 
-def _parse_value(key: Key, raw: str):
-    try:
-        if key.kind == "str":
-            return raw
-        if key.kind == "int":
-            return int(raw)
-        if key.kind == "float":
-            return float(raw)
-        if key.kind == "bool":
-            return _parse_bool(raw)
-        if key.kind == "ints":
-            return tuple(int(x) for x in raw.split(",") if x.strip() != "")
-        if key.kind == "floats":
-            return tuple(float(x) for x in raw.split(",") if x.strip() != "")
-        if key.kind == "strs":
-            return tuple(x.strip() for x in raw.split(",") if x.strip() != "")
-        if key.kind == "kernels":
-            return _parse_kernels(raw)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key.name!r}: {raw!r} ({exc})") from None
-    raise ConfigError(f"unknown key kind {key.kind!r}")
+def _items(parse):
+    """Parser of a comma-separated list whose items ``parse`` reads."""
+    return lambda raw: tuple(parse(x.strip()) for x in raw.split(",") if x.strip() != "")
+
+
+def _joined(render, sep=","):
+    return lambda values: sep.join(render(v) for v in values)
+
+
+# key kind -> (parse text, render value); every rendered value parses back.
+# Every int key is a count or a seed, so negative integers are rejected.
+_KINDS = {
+    "str": (str, str),
+    "int": (_count, str),
+    "float": (float, _fmt),
+    "bool": (_parse_bool, str),
+    "ints": (_items(_count), _joined(str)),
+    "floats": (_items(float), _joined(_fmt)),
+    "strs": (_items(str), _joined(str)),
+    "kernels": (_parse_kernels,
+                _joined(_joined(lambda f: "-" if f is None else _fmt(f), ":"), ";")),
+}
 
 
 def _spec_key(name: str, kind: str, help: str = "") -> Key:
     """A key for a :class:`ModelSpec` field, with the field's default."""
-    default = getattr(ModelSpec, name)
-    text = str(int(default)) if isinstance(default, bool) else str(default)
-    return Key(name, kind, default=text, example=f"{name}={text}", help=help)
+    return Key(name, kind, default=_KINDS[kind][1](getattr(ModelSpec, name)), help=help)
 
 
 # each is a ModelSpec field of the same name
@@ -152,16 +167,15 @@ SUBCOMMANDS: dict[str, list[Key]] = {
             help=" | ".join(designs.GENERATORS)),
         Key("n", "int", required=True, example="n=40"),
         Key("d", "int", required=True, example="d=8"),
-        Key("seed", "int", default="0", example="seed=0"),
+        Key("seed", "int", default="0"),
         Key("out", "str", example="out=design.csv"),
     ],
     "fit": [
         Key("function", "str", required=True, example="function=borehole"),
-        Key("method", "str", default="ppgpr", example="method=ppgpr",
-            help=" | ".join(METHODS)),
+        Key("method", "str", default="ppgpr", help=" | ".join(METHODS)),
         Key("n_train", "int", example="n_train=40", help="defaults to 5 d"),
         *_MODEL_KEYS,
-        Key("seed", "int", default="0", example="seed=0"),
+        Key("seed", "int", default="0"),
         Key("model_out", "str", required=True, example="model_out=model.txt"),
         Key("trace_out", "str", example="trace_out=trace.csv"),
         Key("out", "str", example="out=fit.csv"),
@@ -173,7 +187,7 @@ SUBCOMMANDS: dict[str, list[Key]] = {
     ],
     "eval-grid": [
         Key("function", "str", required=True, example="function=xy-plus-x2"),
-        Key("resolution", "int", default="101", example="resolution=101"),
+        Key("resolution", "int", default="101"),
         Key("model", "str", example="model=model.txt",
             help="optional: tabulate this model instead of the true function"),
         Key("out", "str", example="out=grid.csv"),
@@ -191,26 +205,24 @@ SUBCOMMANDS: dict[str, list[Key]] = {
     "tune": [
         Key("function", "str", required=True, example="function=borehole"),
         Key("n_train", "int", example="n_train=40", help="defaults to 5 d"),
-        Key("etas", "floats", default="1e-7,1e-8,1e-9,1e-10",
-            example="etas=1e-7,1e-8,1e-9,1e-10"),
+        Key("etas", "floats", default="1e-7,1e-8,1e-9,1e-10"),
         Key("Ms", "ints", example="Ms=35", help="defaults to min(n_train-5, 5d)"),
         Key("kernels", "kernels", default="matern:2.5:1.0",
             example="kernels=matern:2.5:1.0;gaussian:-:0.5"),
-        Key("folds", "int", default="5", example="folds=5"),
+        Key("folds", "int", default="5"),
         *_TUNE_TRAIN_KEYS,
-        Key("seed", "int", default="0", example="seed=0"),
+        Key("seed", "int", default="0"),
         Key("out", "str", example="out=tune.csv"),
     ],
     "theory-check": [
-        Key("structures", "strs", default="additive,isotropic",
-            example="structures=additive,isotropic"),
-        Key("nu", "float", default="2.5", example="nu=2.5"),
-        Key("d", "int", default="2", example="d=2"),
-        Key("n_list", "ints", default="10,20,40,80", example="n_list=10,20,40,80"),
+        Key("structures", "strs", default="additive,isotropic"),
+        Key("nu", "float", default="2.5"),
+        Key("d", "int", default="2"),
+        Key("n_list", "ints", default="10,20,40,80"),
         Key("trials", "int", default="0", example="trials=2",
             help="prior draws per n; 0 skips the sup-error column"),
-        Key("nugget", "float", default="1e-10", example="nugget=1e-10"),
-        Key("seed", "int", default="0", example="seed=0"),
+        Key("nugget", "float", default="1e-10"),
+        Key("seed", "int", default="0"),
         Key("out", "str", example="out=rates.csv"),
     ],
 }
@@ -239,74 +251,55 @@ def load_config_file(path: str) -> dict[str, str]:
 
 def resolve_config(sub: str, file_cfg: dict[str, str], flag_cfg: dict[str, str]) -> dict:
     """Merge defaults < config file < flags into a typed config dict."""
-    keys = {k.name: k for k in SUBCOMMANDS[sub]}
+    keys = SUBCOMMANDS[sub]
+    valid = sorted(k.name for k in keys)
     for name in file_cfg:
-        if name not in keys:
+        if name not in valid:
             raise ConfigError(
-                f"unknown config key {name!r} for '{sub}'; valid keys: "
-                + ", ".join(sorted(keys))
+                f"unknown config key {name!r} for '{sub}'; valid keys: " + ", ".join(valid)
             )
-    resolved: dict = {}
-    raw: dict[str, str] = {}
-    for name, key in keys.items():
-        if key.default is not None:
-            raw[name] = key.default
-    raw.update(file_cfg)
-    raw.update({k: v for k, v in flag_cfg.items() if v is not None})
-    missing = [k for k in keys.values() if k.required and k.name not in raw]
+    raw = {**file_cfg, **{k: v for k, v in flag_cfg.items() if v is not None}}
+    missing = [k.name for k in keys if k.required and k.name not in raw]
     if missing:
-        snippet = "\n".join(k.example for k in SUBCOMMANDS[sub] if k.example)
+        snippet = "\n".join(k.example for k in keys if k.example)
         raise ConfigError(
-            "missing required key(s): "
-            + ", ".join(k.name for k in missing)
-            + f"\nexample config for '{sub}':\n{snippet}"
+            f"missing required key(s): {', '.join(missing)}"
+            f"\nexample config for '{sub}':\n{snippet}"
         )
-    for name, value in raw.items():
-        resolved[name] = _parse_value(keys[name], value)
-    for name in keys:
-        resolved.setdefault(name, None)
+    resolved: dict = {}
+    for key in keys:
+        text = raw.get(key.name, key.default)
+        try:
+            resolved[key.name] = None if text is None else _KINDS[key.kind][0](text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key.name!r}: {text!r} ({exc})") from None
     return resolved
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
-def _csv_line(values) -> str:
-    return ",".join(_fmt(v) for v in values)
-
-
 def _header_comments(sub: str, cfg: dict) -> list[str]:
+    """``# config`` lines that read back, through ``--config``, to ``cfg``."""
     lines = [f"# ppgp {sub}"]
-    for name in sorted(cfg):
-        value = cfg[name]
-        if value is None:
-            continue
-        if isinstance(value, tuple):
-            rendered = ",".join(
-                ":".join("-" if f is None else _fmt(f) for f in v)
-                if isinstance(v, tuple) else _fmt(v)
-                for v in value
-            )
-        else:
-            rendered = _fmt(value)
-        lines.append(f"# config {name}={rendered}")
-    if "seed" in cfg and cfg["seed"] is not None:
+    for key in sorted(SUBCOMMANDS[sub], key=lambda k: k.name):
+        if cfg[key.name] is not None:
+            lines.append(f"# config {key.name}={_KINDS[key.kind][1](cfg[key.name])}")
+    if cfg.get("seed") is not None:
         lines.append(f"# master seed={cfg['seed']}")
-    elif "seeds" in cfg and cfg["seeds"] is not None:
-        lines.append(f"# master seeds={','.join(str(s) for s in cfg['seeds'])}")
+    elif cfg.get("seeds") is not None:
+        lines.append(f"# master seeds={_KINDS['ints'][1](cfg['seeds'])}")
     return lines
 
 
-def _emit(path: str | None, comments: list[str], body: str) -> None:
-    text = "".join(c + "\n" for c in comments) + body
-    if path is None:
-        sys.stdout.write(text)
-    else:
+def _csv(header: str, rows) -> str:
+    """CSV text: the ``header`` line, then one line per row of values."""
+    return header + "\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from None
 
 
 def _read_points_csv(path: str) -> np.ndarray:
@@ -352,43 +345,25 @@ def _run_design(cfg: dict) -> tuple[str, list[str]]:
             f"valid: {', '.join(designs.GENERATORS)}"
         )
     design = generate(cfg["n"], cfg["d"], cfg["seed"])
-    lines = [_csv_line([f"x{j + 1}" for j in range(design.d)])]
-    for row in design.points:
-        lines.append(_csv_line(row))
-    return "\n".join(lines) + "\n", []
+    return _csv(",".join(f"x{j + 1}" for j in range(design.d)), design.points), []
 
 
 def _run_fit(cfg: dict) -> tuple[str, list[str]]:
     spec = ModelSpec(cfg["method"], **_spec_fields(cfg, _MODEL_KEYS))
-    t0 = time.perf_counter()
     U, Y = _halton_training(by_name(cfg["function"]), cfg["n_train"])
     model = make_model(spec, U, Y, _experiment_seeds(cfg["seed"])[1])
-    wall_ms = 1e3 * (time.perf_counter() - t0)
     save_model(model, cfg["model_out"])
-    comments = [f"# wall_ms={wall_ms:.1f}", f"# model written to {cfg['model_out']}"]
-    if isinstance(model, PpgprModel):
-        if cfg.get("trace_out"):
-            trace_lines = ["epoch,loss"]
-            trace_lines += [_csv_line([e, l]) for e, l in model.trace]
-            with open(cfg["trace_out"], "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("\n".join(trace_lines) + "\n")
-            comments.append(f"# trace written to {cfg['trace_out']}")
-        body = "\n".join([
-            "method,function,n_train,M,best_epoch,epochs_run,loss,diverged",
-            _csv_line([
-                cfg["method"], cfg["function"], U.shape[0], model.M,
-                model.best_epoch, len(model.trace),
-                model.trace[model.best_epoch][1], int(model.diverged),
-            ]),
-        ]) + "\n"
-    else:
-        body = "\n".join([
-            "method,function,n_train,loss",
-            _csv_line([
-                cfg["method"], cfg["function"], U.shape[0], model.log_likelihood(),
-            ]),
-        ]) + "\n"
-    return body, comments
+    comments = [f"# model written to {cfg['model_out']}"]
+    if not isinstance(model, PpgprModel):
+        row = [cfg["method"], cfg["function"], U.shape[0], model.log_likelihood()]
+        return _csv("method,function,n_train,loss", [row]), comments
+    if cfg["trace_out"] is not None:
+        _write_text(cfg["trace_out"], _csv("epoch,loss", model.trace))
+        comments.append(f"# trace written to {cfg['trace_out']}")
+    row = [cfg["method"], cfg["function"], U.shape[0], model.M, model.best_epoch,
+           len(model.trace), model.trace[model.best_epoch][1], int(model.diverged)]
+    return _csv("method,function,n_train,M,best_epoch,epochs_run,loss,diverged",
+                [row]), comments
 
 
 def _run_predict(cfg: dict) -> tuple[str, list[str]]:
@@ -399,11 +374,8 @@ def _run_predict(cfg: dict) -> tuple[str, list[str]]:
         raise ConfigError(
             f"points have {pts.shape[1]} columns but the model expects {d}"
         )
-    preds = model.predict(pts)
-    lines = [_csv_line([f"x{j + 1}" for j in range(d)] + ["prediction"])]
-    for row, p in zip(pts, preds):
-        lines.append(_csv_line(list(row) + [p]))
-    return "\n".join(lines) + "\n", []
+    header = ",".join([*(f"x{j + 1}" for j in range(d)), "prediction"])
+    return _csv(header, ([*row, p] for row, p in zip(pts, model.predict(pts)))), []
 
 
 def _run_eval_grid(cfg: dict) -> tuple[str, list[str]]:
@@ -418,100 +390,61 @@ def _run_eval_grid(cfg: dict) -> tuple[str, list[str]]:
     axis = np.linspace(0.0, 1.0, res)
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([g1.ravel(), g2.ravel()], axis=1)
-    if cfg.get("model"):
-        model = load_model(cfg["model"])
-        vals = model.predict(pts)
+    if cfg["model"] is not None:
+        vals = load_model(cfg["model"]).predict(pts)
         source = "model"
     else:
         vals = fn.eval_unit(pts)
         source = "function"
-    lines = [_csv_line(["x1", "x2", "value"])]
-    for (u1, u2), v in zip(pts, vals):
-        lines.append(_csv_line([u1, u2, v]))
-    return "\n".join(lines) + "\n", [f"# values from {source}"]
+    body = _csv("x1,x2,value", ([u1, u2, v] for (u1, u2), v in zip(pts, vals)))
+    return body, [f"# values from {source}"]
 
 
 def _run_bench_table(cfg: dict) -> tuple[str, list[str]]:
-    t0 = time.perf_counter()
     fields = _spec_fields(cfg, _MODEL_KEYS)
     specs = [ModelSpec(method, **fields) for method in cfg["methods"]]
     reports = benchmark_table(cfg["functions"], specs, cfg["seeds"], n_train=cfg["n_train"])
-    wall_ms = 1e3 * (time.perf_counter() - t0)
-    lines = [_csv_line([
-        "function", "method", "seed", "n_train", "n_test",
-        "family", "nu", "phi", "eta", "epochs", "M", "centered", "diverged",
-        "rmse", "rmse_abs",
-    ])]
-    for r in reports:
-        h = r.hyperparameters
-
-        def cell(name):
-            v = h.get(name)
-            return "" if v is None else v
-
-        lines.append(_csv_line([
-            r.function, r.method, r.seed, r.n_train, r.n_test,
-            cell("family"), cell("nu"), cell("phi"),
-            cell("eta"), cell("epochs"), cell("M"),
-            int(r.centered), int(r.diverged), r.rmse, r.rmse_abs,
-        ]))
-    return "\n".join(lines) + "\n", [f"# wall_ms={wall_ms:.1f}"]
+    header = ("function,method,seed,n_train,n_test,family,nu,phi,eta,epochs,M,"
+              "centered,diverged,rmse,rmse_abs")
+    rows = [[r.function, r.method, r.seed, r.n_train, r.n_test,
+             *(r.hyperparameters.get(name) for name in
+               ("family", "nu", "phi", "eta", "epochs", "M")),
+             int(r.centered), int(r.diverged), r.rmse, r.rmse_abs] for r in reports]
+    return _csv(header, rows), []
 
 
 def _run_tune(cfg: dict) -> tuple[str, list[str]]:
     U, Y = _halton_training(by_name(cfg["function"]), cfg["n_train"])
     Ms = (default_node_count(*U.shape),) if cfg["Ms"] is None else cfg["Ms"]
     grid = TuneGrid(etas=cfg["etas"], Ms=Ms, kernels=cfg["kernels"], folds=cfg["folds"])
-    t0 = time.perf_counter()
     best, table = cross_validate(
         U, Y, grid, cfg["seed"], **_spec_fields(cfg, _TUNE_TRAIN_KEYS)
     )
-    wall_ms = 1e3 * (time.perf_counter() - t0)
-    lines = [_csv_line([
-        "kind", "grid_index", "eta", "M", "family", "nu", "phi", "fold",
-        "rmse", "mean_rmse",
-    ])]
-    for row in table:
-        lines.append(_csv_line([
-            "fold", row["grid_index"], row["eta"], row["M"], row["family"],
-            "" if row["nu"] is None else row["nu"], row["phi"],
-            row["fold"], row["rmse"], "",
-        ]))
-    family, nu, phi = best["kernel"]
-    lines.append(_csv_line([
-        "best", "", best["eta"], best["M"], family,
-        "" if nu is None else nu, phi, "", "", best["mean_rmse"],
-    ]))
-    return "\n".join(lines) + "\n", [f"# wall_ms={wall_ms:.1f}"]
+    rows = [["fold", row["grid_index"], row["eta"], row["M"], row["family"],
+             row["nu"], row["phi"], row["fold"], row["rmse"], None] for row in table]
+    rows.append(["best", None, best["eta"], best["M"], *best["kernel"],
+                 None, None, best["mean_rmse"]])
+    return _csv("kind,grid_index,eta,M,family,nu,phi,fold,rmse,mean_rmse", rows), []
 
 
 def _run_theory_check(cfg: dict) -> tuple[str, list[str]]:
-    t0 = time.perf_counter()
-    lines = [_csv_line([
-        "record", "structure", "metric", "n", "max_p", "sup_err",
-        "slope", "intercept", "r2",
-    ])]
+    out = []
     for structure in cfg["structures"]:
         rows = ratecheck.sup_error_curve(
             structure, cfg["nu"], cfg["d"], cfg["n_list"],
             trials=cfg["trials"], seed=cfg["seed"], nugget=cfg["nugget"],
         )
-        for row in rows:
-            lines.append(_csv_line([
-                "curve", structure, "", row.n, row.max_p,
-                "" if np.isnan(row.sup_err) else row.sup_err, "", "", "",
-            ]))
+        out += [["curve", structure, None, row.n, row.max_p,
+                 None if np.isnan(row.sup_err) else row.sup_err, None, None, None]
+                for row in rows]
         fits = [("max_p", [(r.n, r.max_p) for r in rows])]
         if cfg["trials"] > 0:
             fits.append(("sup_err", [(r.n, r.sup_err) for r in rows]))
         for metric, pairs in fits:
             rf = ratecheck.rate_fit(pairs)
-            lines.append(_csv_line([
-                "fit", structure, metric, "", "", "",
-                rf.slope, rf.intercept, rf.r2,
-            ]))
-    wall_ms = 1e3 * (time.perf_counter() - t0)
-    return "\n".join(lines) + "\n", [f"# wall_ms={wall_ms:.1f}"]
+            out.append(["fit", structure, metric, None, None, None,
+                        rf.slope, rf.intercept, rf.r2])
+    return _csv("record,structure,metric,n,max_p,sup_err,slope,intercept,r2", out), []
 
 
 _RUNNERS = {
@@ -539,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
                 f"--{key.name.replace('_', '-')}",
                 dest=f"key_{key.name}",
                 default=None,
-                help=key.help or f"{key.kind}"
-                + (f" (default {key.default})" if key.default else ""),
+                help=(key.help or key.kind)
+                + ("" if key.default is None else f" (default {key.default})"),
             )
     return parser
 
@@ -554,14 +487,20 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     sub = args.subcommand
     try:
-        file_cfg = load_config_file(args.config) if args.config else {}
+        file_cfg = {} if args.config is None else load_config_file(args.config)
         flag_cfg = {
             k[len("key_"):]: v for k, v in vars(args).items() if k.startswith("key_")
         }
         cfg = resolve_config(sub, file_cfg, flag_cfg)
+        t0 = time.perf_counter()
         body, extra = _RUNNERS[sub](cfg)
-        comments = _header_comments(sub, cfg) + extra
-        _emit(cfg.get("out"), comments, body)
+        wall_ms = 1e3 * (time.perf_counter() - t0)
+        comments = [*_header_comments(sub, cfg), f"# wall_ms={wall_ms:.1f}", *extra]
+        text = "".join(c + "\n" for c in comments) + body
+        if cfg["out"] is None:
+            sys.stdout.write(text)
+        else:
+            _write_text(cfg["out"], text)
         return 0
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ from .benchmarks import BenchmarkFn, by_name
 from .designs import halton, uniform_random
 from .errors import ConfigError, MetricError, TrainingError
 from .gp import GpModel, fit
-from .kernels import MultivariateKernel, kernel1d_from_config
+from .kernels import Kernel1d, MultivariateKernel
 from .pursuit import PpgprModel, TrainConfig, default_node_count, train
 
 __all__ = [
@@ -88,7 +88,7 @@ def make_model(spec: ModelSpec, U: np.ndarray, Y: np.ndarray,
     ``weight_seed`` seeds the initial projection weights (unused by the GP
     methods).
     """
-    base = kernel1d_from_config({"family": spec.family, "nu": spec.nu, "phi": spec.phi})
+    base = Kernel1d(spec.family, spec.nu, spec.phi)
     if spec.method == "ppgpr":
         cfg = TrainConfig(
             eta=spec.eta, epochs=spec.epochs,

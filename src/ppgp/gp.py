@@ -9,6 +9,7 @@ not); the mean is added back at prediction time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,8 +126,8 @@ def fit(
             "design rows must lie in the unit cube; pass "
             "validate_unit_cube=False for transformed inputs"
         )
-    if nugget < 0:
-        raise FitError("nugget must be non-negative")
+    if not (math.isfinite(nugget) and nugget >= 0):
+        raise FitError(f"nugget must be finite and non-negative (got {nugget})")
 
     mean = float(np.mean(y)) if center else 0.0
     yc = y - mean

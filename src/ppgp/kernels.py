@@ -44,7 +44,6 @@ __all__ = [
     "MultivariateKernel",
     "matern",
     "gaussian",
-    "kernel1d_from_config",
     "STRUCTURES",
 ]
 
@@ -116,7 +115,7 @@ class Kernel1d:
         ``"matern"`` or ``"gaussian"``.
     nu : float, optional
         Smoothness of the Matérn family; must be positive and finite.
-        Unused for the Gaussian family.
+        Unused for the Gaussian family, which stores it as None.
     phi : float
         Scale parameter; must be positive and finite.  Defaults to 1.
     """
@@ -128,9 +127,10 @@ class Kernel1d:
     def __post_init__(self):
         if self.family not in ("matern", "gaussian"):
             raise DomainError(f"unknown kernel family {self.family!r}")
-        if self.family == "matern":
-            if self.nu is None or not (math.isfinite(self.nu) and self.nu > 0):
-                raise DomainError("matern smoothness nu must be positive and finite")
+        if self.family == "gaussian":
+            object.__setattr__(self, "nu", None)
+        elif self.nu is None or not (math.isfinite(self.nu) and self.nu > 0):
+            raise DomainError("matern smoothness nu must be positive and finite")
         if not (math.isfinite(self.phi) and self.phi > 0):
             raise DomainError("scale phi must be positive and finite")
 
@@ -207,13 +207,6 @@ class Kernel1d:
         """
         return self.value_and_derivative(t)[1]
 
-    def as_config(self) -> dict:
-        """Serializable description, mirrored by :func:`kernel1d_from_config`."""
-        cfg = {"family": self.family, "phi": self.phi}
-        if self.family == "matern":
-            cfg["nu"] = self.nu
-        return cfg
-
 
 def matern(nu: float, phi: float = 1.0) -> Kernel1d:
     """Matérn correlation with smoothness ``nu`` and scale ``phi``."""
@@ -223,14 +216,6 @@ def matern(nu: float, phi: float = 1.0) -> Kernel1d:
 def gaussian(phi: float = 1.0) -> Kernel1d:
     """Gaussian correlation with scale ``phi``."""
     return Kernel1d("gaussian", phi=phi)
-
-
-def kernel1d_from_config(cfg: dict) -> Kernel1d:
-    """Inverse of :meth:`Kernel1d.as_config`."""
-    family = cfg["family"]
-    if family == "matern":
-        return matern(float(cfg["nu"]), float(cfg.get("phi", 1.0)))
-    return gaussian(float(cfg.get("phi", 1.0)))
 
 
 @dataclass(frozen=True)
@@ -305,8 +290,3 @@ class MultivariateKernel:
         if self.structure == "product":
             return np.prod(vals, axis=-1)
         return np.sum(vals, axis=-1) / self.dim
-
-    def as_config(self) -> dict:
-        cfg = self.base.as_config()
-        cfg["structure"] = self.structure
-        return cfg

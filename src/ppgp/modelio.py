@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ModelFormatError, PpgpError
 from .gp import GpModel
-from .kernels import MultivariateKernel, kernel1d_from_config
+from .kernels import Kernel1d, MultivariateKernel
 from .linalg import CholFactor
 from .pursuit import PpgprModel, TrainConfig
 
@@ -56,12 +56,12 @@ def _write_matrix(out, name: str, A) -> None:
 
 
 def _write_gp(out, model: GpModel) -> None:
-    cfg = model.kernel.as_config()
-    out.write(f"family {cfg['family']}\n")
-    if "nu" in cfg:
-        out.write(f"nu {_fmt(cfg['nu'])}\n")
-    out.write(f"phi {_fmt(cfg['phi'])}\n")
-    out.write(f"structure {cfg['structure']}\n")
+    base = model.kernel.base
+    out.write(f"family {base.family}\n")
+    if base.family == "matern":
+        out.write(f"nu {_fmt(base.nu)}\n")
+    out.write(f"phi {_fmt(base.phi)}\n")
+    out.write(f"structure {model.kernel.structure}\n")
     out.write(f"nugget {_fmt(model.nugget)}\n")
     out.write(f"center {int(model.center)}\n")
     out.write(f"center_mean {_fmt(model.center_mean)}\n")
@@ -153,10 +153,8 @@ class _Reader:
 
 def _read_gp(r: _Reader) -> GpModel:
     family = r.key_value("family")
-    cfg = {"family": family}
-    if family == "matern":
-        cfg["nu"] = float(r.key_value("nu"))
-    cfg["phi"] = float(r.key_value("phi"))
+    nu = float(r.key_value("nu")) if family == "matern" else None
+    phi = float(r.key_value("phi"))
     structure = r.key_value("structure")
     nugget = float(r.key_value("nugget"))
     center = bool(int(r.key_value("center")))
@@ -168,7 +166,7 @@ def _read_gp(r: _Reader) -> GpModel:
     alpha = r.vector("alpha")
     lower = r.matrix("chol")
     kernel = MultivariateKernel(
-        base=kernel1d_from_config(cfg), structure=structure, dim=design.shape[1]
+        base=Kernel1d(family, nu, phi), structure=structure, dim=design.shape[1]
     )
     return GpModel(
         design=design,

@@ -355,8 +355,133 @@ class TestExitCodes:
         assert cli.main(["frobnicate"]) == 1
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
-        rc = cli.main(["fit", "--function", "xy-plus-x2",
-                       "--method", "gp-iso", "--nugget", "-1",
-                       "--model-out", str(tmp_path / "m.txt")])
-        assert rc == 2
-        assert "numerical error" in capsys.readouterr().err
+        for nugget in ("-1", "nan", "inf"):
+            rc = cli.main(["fit", "--function", "xy-plus-x2",
+                           "--method", "gp-iso", "--nugget", nugget,
+                           "--model-out", str(tmp_path / "m.txt")])
+            assert rc == 2
+            assert "numerical error" in capsys.readouterr().err
+
+
+def _config_lines(path):
+    """The ``# config key=value`` lines of an output file, without the prefix."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [l[len("# config "):] for l in fh if l.startswith("# config ")]
+
+
+@pytest.fixture
+def served(tmp_path):
+    """A 2-input model file and a points file with a header line."""
+    model_path = tmp_path / "model.txt"
+    assert cli.main(["fit", "--function", "xy-plus-x2", "--method", "gp-add",
+                     "--n-train", "12", "--model-out", str(model_path),
+                     "--out", str(tmp_path / "fit.csv")]) == 0
+    points_path = tmp_path / "points.csv"
+    points_path.write_text("x1,x2\n0.5,0.5\n0.25,0.75\n")
+    return model_path, points_path
+
+
+class TestConfigReplay:
+    """The ``# config`` lines of any output, written as a ``--config``
+    file, reproduce the same body; every output records its wall time."""
+
+    @pytest.mark.parametrize("argv", [
+        ["design", "--generator", "randomized-lhs", "--n", "6", "--d", "2",
+         "--seed", "3"],
+        ["fit", "--function", "xy-plus-x2", "--method", "ppgpr", "--n-train", "12",
+         "--epochs", "3", "--eta", "1e-8", "--family", "gaussian", "--phi", "0.5",
+         "--model-out", "{tmp}/m.txt", "--trace-out", "{tmp}/trace.csv"],
+        ["predict", "--model", "{model}", "--points", "{points}"],
+        ["eval-grid", "--function", "xy-plus-x2", "--resolution", "3",
+         "--model", "{model}"],
+        ["bench-table", "--functions", "xy-plus-x2", "--methods", "gp-iso,ppgpr",
+         "--seeds", "0,1", "--n-train", "12", "--epochs", "3", "--eta", "1e-8"],
+        ["tune", "--function", "xy-plus-x2", "--n-train", "12", "--etas", "1e-8",
+         "--Ms", "3", "--folds", "2", "--epochs", "3",
+         "--kernels", "matern:2.5:1.0;gaussian:-:0.5", "--center", "no"],
+        ["theory-check", "--structures", "additive", "--d", "1",
+         "--n-list", "8,16", "--trials", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_config_lines_replay_the_body(self, tmp_path, served, argv):
+        model_path, points_path = served
+        argv = [a.format(tmp=tmp_path, model=model_path, points=points_path)
+                for a in argv]
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        assert cli.main(argv + ["--out", str(first)]) == 0
+        cfg = tmp_path / "replay.cfg"
+        cfg.write_text("".join(_config_lines(first)), encoding="utf-8")
+        assert cli.main([argv[0], "--config", str(cfg), "--out", str(again)]) == 0
+        assert _body_lines(again) == _body_lines(first)
+        assert _config_lines(again) == [
+            l.replace(str(first), str(again)) for l in _config_lines(first)]
+        assert first.read_text(encoding="utf-8").count("\n# wall_ms=") == 1
+
+
+class TestOutputPaths:
+    """Every output path is written or reported as a usage error."""
+
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "design.csv"
+        rc = cli.main(["design", "--generator", "halton", "--n", "3", "--d", "1",
+                       "--out", str(out)])
+        assert rc == 1
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_unwritable_trace_out_exits_one(self, tmp_path, capsys):
+        rc = cli.main(["fit", "--function", "xy-plus-x2", "--epochs", "2",
+                       "--model-out", str(tmp_path / "m.txt"),
+                       "--trace-out", str(tmp_path / "missing" / "trace.csv"),
+                       "--out", str(tmp_path / "fit.csv")])
+        assert rc == 1
+        assert "cannot write" in capsys.readouterr().err
+        assert not (tmp_path / "fit.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval-grid", "--function", "xy-plus-x2", "--resolution", "3", "--model", ""],
+        ["fit", "--function", "xy-plus-x2", "--epochs", "2", "--trace-out", ""],
+        ["design", "--generator", "halton", "--n", "3", "--d", "1", "--config", ""],
+    ], ids=["model", "trace-out", "config"])
+    def test_empty_path_is_not_absent(self, tmp_path, capsys, argv):
+        """A given empty path is an error, not the key left unset."""
+        if argv[0] == "fit":
+            argv = argv + ["--model-out", str(tmp_path / "m.txt")]
+        assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out.csv").exists()
+
+
+class TestRejectedValues:
+    """Bad key values exit 1 (usage) or 2 (numerical), never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["design", "--generator", "randomized-lhs", "--n", "4", "--d", "2",
+         "--seed", "-5"],
+        ["fit", "--function", "xy-plus-x2", "--seed", "-1"],
+        ["bench-table", "--functions", "xy-plus-x2", "--methods", "gp-iso",
+         "--seeds", "0,-1"],
+    ], ids=["design-seed", "fit-seed", "bench-seeds"])
+    def test_negative_integer_is_usage_error(self, tmp_path, capsys, argv):
+        if argv[0] == "fit":
+            argv = argv + ["--model-out", str(tmp_path / "m.txt")]
+        assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+        assert "non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--function", "xy-plus-x2", "--family", "foo"],
+        ["tune", "--function", "xy-plus-x2", "--kernels", "foo:2.5:1.0"],
+        ["tune", "--function", "xy-plus-x2", "--kernels", "matern:-:1.0"],
+    ], ids=["fit-family", "tune-family", "tune-matern-without-nu"])
+    def test_bad_kernel_is_usage_error(self, tmp_path, capsys, argv):
+        if argv[0] == "fit":
+            argv = argv + ["--model-out", str(tmp_path / "m.txt")]
+        rc = cli.main(argv + ["--epochs", "2", "--out", str(tmp_path / "out.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_help_shows_defaults_next_to_help_text(self, capsys):
+        assert cli.main(["fit", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "0 disables early stop (default 0.04)" in text
+        assert "gp-iso | gp-pro | gp-add | ppgpr (default ppgpr)" in text

@@ -138,10 +138,12 @@ class TestFitBasics:
         assert np.max(np.abs(m.predict(X) - Y)) <= 1e-3 * 3.0
 
     def test_negative_nugget_rejected(self):
-        """A negative nugget is a fit error, not a silent repair."""
+        """A negative, NaN or infinite nugget is a fit error, not a silent
+        repair."""
         X = np.array([[0.0], [1.0]])
-        with pytest.raises(FitError):
-            fit(X, np.array([0.0, 1.0]), iso_kernel(1), nugget=-1e-6)
+        for nugget in (-1e-6, float("nan"), float("inf")):
+            with pytest.raises(FitError, match="nugget"):
+                fit(X, np.array([0.0, 1.0]), iso_kernel(1), nugget=nugget)
 
     def test_duplicate_rows_still_fit_via_jitter(self):
         """Coincident design points force jitter escalation, not failure."""

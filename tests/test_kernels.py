@@ -6,6 +6,7 @@ independent arbitrary-precision Bessel evaluation (mpmath); derivatives
 are checked against central finite differences of the kernel itself.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -20,7 +21,6 @@ from ppgp import (
     MultivariateKernel,
     STRUCTURES,
     gaussian,
-    kernel1d_from_config,
     matern,
 )
 from ppgp.kernels import BLOCK_LAGS
@@ -212,13 +212,14 @@ class TestKernel1dValues:
             assert np.array_equal(gaussian(0.5)(t), [0.0, 0.0])
 
     def test_config_round_trip(self):
-        """as_config followed by kernel1d_from_config reproduces the kernel."""
+        """A kernel rebuilt from its dataclass fields equals the original;
+        a Gaussian stores its unused nu as None."""
         for k in (matern(2.5, phi=0.7), gaussian(1.3), matern(4.0)):
-            k2 = kernel1d_from_config(k.as_config())
-            assert k2.family == k.family
-            assert k2.nu == k.nu
-            assert k2.phi == k.phi
+            k2 = Kernel1d(**dataclasses.asdict(k))
+            assert k2 == k
             assert k2(0.37) == k(0.37)
+        assert Kernel1d("gaussian", 2.5, 1.3) == gaussian(1.3)
+        assert gaussian(1.3).nu is None
 
 
 class TestKernel1dDerivative:

@@ -60,7 +60,7 @@ class TestGpRoundTrip:
         assert np.array_equal(back.design, model.design)
         assert np.array_equal(back.responses, model.responses)
         assert np.array_equal(back.alpha, model.alpha)
-        assert back.kernel.as_config() == model.kernel.as_config()
+        assert back.kernel == model.kernel
 
     def test_gaussian_family_round_trips(self):
         from ppgp import gaussian
@@ -71,7 +71,18 @@ class TestGpRoundTrip:
                                     dim=3)
         model = fit(X, Y, kernel, nugget=1e-6)
         back = loads_model(dumps_model(model))
+        assert back.kernel == model.kernel
         assert np.array_equal(back.predict(X), model.predict(X))
+
+    def test_unknown_family_is_domain_error(self):
+        """An unknown family is rejected, not read as a Gaussian."""
+        X, Y = _borehole_data(10)
+        kernel = MultivariateKernel(base=matern(2.5), structure="product", dim=8)
+        text = dumps_model(fit(X, Y, kernel))
+        bad = text.replace("family matern\nnu 2.5\n", "family foo\n")
+        assert bad != text
+        with pytest.raises(DomainError, match="foo"):
+            loads_model(bad)
 
 
 class TestPpgprRoundTrip:
