@@ -43,41 +43,23 @@ class BenchmarkFn:
         lo, hi = self.ranges[:, 0], self.ranges[:, 1]
         return lo + u * (hi - lo)
 
-    def to_unit(self, x: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`to_physical`."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        lo, hi = self.ranges[:, 0], self.ranges[:, 1]
-        return (x - lo) / (hi - lo)
+    def eval_unit(self, u) -> np.ndarray:
+        """Evaluate at unit-cube inputs (rows of ``u``) via the affine pullback.
 
-    def eval_physical(self, x, permissive: bool = False) -> np.ndarray:
-        """Evaluate at physical inputs (rows of ``x``).
-
-        Inputs must lie strictly inside the ranges; ``permissive=True``
-        admits boundary values as well.
+        A row of the wrong width, or an entry outside [0, 1] (nan included),
+        raises :class:`DomainError` naming the function; an entry is reported
+        with its row, column and value.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.dim:
-            raise DomainError(
-                f"{self.name} takes {self.dim} inputs, got {x.shape[1]}"
-            )
-        lo, hi = self.ranges[:, 0], self.ranges[:, 1]
-        if permissive:
-            bad = (x < lo) | (x > hi)
-        else:
-            bad = (x <= lo) | (x >= hi)
+        u = np.atleast_2d(np.asarray(u, dtype=float))
+        if u.shape[1] != self.dim:
+            raise DomainError(f"{self.name} takes {self.dim} inputs, got {u.shape[1]}")
+        bad = ~((u >= 0.0) & (u <= 1.0))
         if np.any(bad):
             i, j = np.argwhere(bad)[0]
             raise DomainError(
-                f"{self.name} input {j} = {x[i, j]!r} outside range "
-                f"({lo[j]}, {hi[j]}) at row {i}"
+                f"{self.name} unit-cube input {j} = {float(u[i, j])!r} outside [0, 1] "
+                f"at row {i}"
             )
-        return self._fn(x)
-
-    def eval_unit(self, u) -> np.ndarray:
-        """Evaluate at unit-cube inputs via the affine pullback."""
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        if np.any(u < 0.0) or np.any(u > 1.0):
-            raise DomainError(f"{self.name} unit-cube input outside [0, 1]")
         return self._fn(self.to_physical(u))
 
 

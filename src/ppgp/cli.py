@@ -352,14 +352,16 @@ def _run_fit(cfg: dict) -> tuple[str, list[str]]:
     spec = ModelSpec(cfg["method"], **_spec_fields(cfg, _MODEL_KEYS))
     U, Y = _halton_training(by_name(cfg["function"]), cfg["n_train"])
     model = make_model(spec, U, Y, _experiment_seeds(cfg["seed"])[1])
-    save_model(model, cfg["model_out"])
+    ppgpr = isinstance(model, PpgprModel)
     comments = [f"# model written to {cfg['model_out']}"]
-    if not isinstance(model, PpgprModel):
-        row = [cfg["method"], cfg["function"], U.shape[0], model.log_likelihood()]
-        return _csv("method,function,n_train,loss", [row]), comments
-    if cfg["trace_out"] is not None:
+    # the trace goes first: a trace path that cannot be written leaves no model
+    if ppgpr and cfg["trace_out"] is not None:
         _write_text(cfg["trace_out"], _csv("epoch,loss", model.trace))
         comments.append(f"# trace written to {cfg['trace_out']}")
+    save_model(model, cfg["model_out"])
+    if not ppgpr:
+        row = [cfg["method"], cfg["function"], U.shape[0], model.log_likelihood()]
+        return _csv("method,function,n_train,loss", [row]), comments
     row = [cfg["method"], cfg["function"], U.shape[0], model.M, model.best_epoch,
            len(model.trace), model.trace[model.best_epoch][1], int(model.diverged)]
     return _csv("method,function,n_train,M,best_epoch,epochs_run,loss,diverged",
@@ -373,6 +375,13 @@ def _run_predict(cfg: dict) -> tuple[str, list[str]]:
     if pts.shape[1] != d:
         raise ConfigError(
             f"points have {pts.shape[1]} columns but the model expects {d}"
+        )
+    outside = ~((pts >= 0.0) & (pts <= 1.0))
+    if np.any(outside):
+        i, j = np.argwhere(outside)[0]
+        raise ConfigError(
+            f"data row {i + 1}, column x{j + 1} of {cfg['points']!r} is "
+            f"{float(pts[i, j])!r}, outside the unit cube [0, 1]"
         )
     header = ",".join([*(f"x{j + 1}" for j in range(d)), "prediction"])
     return _csv(header, ([*row, p] for row, p in zip(pts, model.predict(pts)))), []

@@ -200,7 +200,9 @@ def _experiment(spec: ModelSpec, function: str, n_train: int | None,
     model = make_model(spec, U_train, Y_train, weight_seed)
     pred = model.predict(U_test)
     wall_ms = 1e3 * (time.perf_counter() - t0)
-    hyper: dict = {"family": spec.family, "nu": spec.nu, "phi": spec.phi}
+    # the built kernel's nu, which is None for a Gaussian whatever spec.nu says
+    base = (model.inner if isinstance(model, PpgprModel) else model).kernel.base
+    hyper: dict = {"family": base.family, "nu": base.nu, "phi": base.phi}
     diverged = False
     if isinstance(model, PpgprModel):
         hyper.update(eta=spec.eta, epochs=spec.epochs, M=model.M)

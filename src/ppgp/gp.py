@@ -38,10 +38,6 @@ class GpModel:
     sigma2_hat: float = 0.0
 
     @property
-    def n(self) -> int:
-        return self.design.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.design.shape[1]
 

@@ -236,17 +236,6 @@ class MultivariateKernel:
         if self.dim < 1:
             raise DomainError("dim must be a positive integer")
 
-    def __call__(self, x, y) -> float:
-        """Correlation between points ``x`` and ``y`` (length-``dim`` vectors)."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if x.shape != (self.dim,) or y.shape != (self.dim,):
-            raise DomainError(
-                f"expected two vectors of length {self.dim}, "
-                f"got {x.shape} and {y.shape}"
-            )
-        return float(self.cross(x[None, :], y[None, :])[0, 0])
-
     def gram(self, X: np.ndarray) -> np.ndarray:
         """Correlation matrix over the rows of ``X`` (shape n x dim)."""
         return self.cross(X, X)

@@ -95,16 +95,17 @@ def sup_error_curve(
     trials: int = 2,
     seed: int = 0,
     *,
-    phi: float = 1.0,
     grid_budget: int = _MAX_GRID,
     nugget: float = THEORY_NUGGET,
 ) -> list[CurveRow]:
     """Error-decay measurements over randomized-LHS designs of growing size.
 
-    For each n: one seeded LHS design, the (deterministic) grid maximum
-    of the predictive standard deviation P(x), and the average over
-    ``trials`` exact prior draws of the sup-norm prediction error on the
-    grid.  ``trials=0`` skips the draws (sup_err reported as nan).
+    The kernel is the Matérn of smoothness ``nu`` at scale ``phi = 1``
+    composed by ``structure``.  For each n: one seeded LHS design, the
+    (deterministic) grid maximum of the predictive standard deviation
+    P(x), and the average over ``trials`` exact prior draws of the
+    sup-norm prediction error on the grid.  ``trials=0`` skips the draws
+    (sup_err reported as nan).
     """
     if d > 3:
         raise DomainError(f"rate checks support d <= 3, got {d}")
@@ -112,7 +113,7 @@ def sup_error_curve(
         raise DomainError(f"grid budget capped at {_MAX_GRID}")
     n_list = [int(n) for n in n_list]
     grid = _grid(d, grid_budget)
-    kernel = MultivariateKernel(base=matern(nu, phi), structure=structure, dim=d)
+    kernel = MultivariateKernel(base=matern(nu), structure=structure, dim=d)
 
     children = np.random.SeedSequence(seed).spawn(len(n_list))
     rows = []

@@ -3,13 +3,21 @@
 The fixture values below were produced by an independent one-off script
 that transcribed each published formula symbol by symbol with plain
 scalar arithmetic; they pin the implementation against transcription
-slips.
+slips.  The physical inputs reach the functions through ``eval_unit`` at
+``u = (x - lo) / (hi - lo)``.
 """
 
 import numpy as np
 import pytest
 
 from ppgp import BENCHMARKS, DomainError, by_name
+
+
+def unit(fn, x):
+    """Unit-cube coordinates of the physical point ``x``."""
+    lo, hi = fn.ranges[:, 0], fn.ranges[:, 1]
+    return (np.asarray(x, dtype=float) - lo) / (hi - lo)
+
 
 # (inputs, expected value) triples per function, first entry at the range
 # midpoints, the others at interior off-center points.
@@ -44,23 +52,23 @@ class TestTranscriptionOracles:
     def test_borehole_values(self):
         fn = by_name("borehole")
         for x, expected in BOREHOLE_FIXTURES:
-            got = fn.eval_physical(np.array(x))[0]
+            got = fn.eval_unit(unit(fn, x))[0]
             assert np.isclose(got, expected, rtol=1e-12), f"{x}: {got}"
 
     def test_otl_circuit_values(self):
         fn = by_name("otl-circuit")
         for x, expected in OTL_FIXTURES:
-            got = fn.eval_physical(np.array(x))[0]
+            got = fn.eval_unit(unit(fn, x))[0]
             assert np.isclose(got, expected, rtol=1e-12), f"{x}: {got}"
 
     def test_wing_weight_values(self):
         fn = by_name("wing-weight")
         for x, expected in WING_FIXTURES:
-            got = fn.eval_physical(np.array(x))[0]
+            got = fn.eval_unit(unit(fn, x))[0]
             assert np.isclose(got, expected, rtol=1e-12), f"{x}: {got}"
 
     def test_midpoint_matches_unit_half(self):
-        """eval_unit at u = 0.5 equals eval_physical at the midpoints."""
+        """eval_unit at u = 0.5 gives the fixture value at the midpoints."""
         for name, fixtures in (
             ("borehole", BOREHOLE_FIXTURES),
             ("otl-circuit", OTL_FIXTURES),
@@ -96,39 +104,26 @@ class TestRangesAndValidation:
             assert np.all(fn.ranges[:, 0] < fn.ranges[:, 1])
 
     def test_out_of_range_names_the_coordinate(self):
-        """A violation reports which input is outside which interval."""
+        """A violation reports the function, row, column and value."""
         fn = by_name("borehole")
-        x = np.array([0.1, 25050.0, 89335.0, 2000.0, 89.55, 760.0, 1400.0,
-                      10950.0])
+        U = np.full((3, 8), 0.5)
+        U[2, 3] = 1.25
         with pytest.raises(DomainError) as exc:
-            fn.eval_physical(x)
+            fn.eval_unit(U)
         msg = str(exc.value)
-        assert "2000" in msg
-        assert "900" in msg and "1110" in msg
-
-    def test_boundary_needs_permissive_flag(self):
-        """Range endpoints are rejected strictly, accepted permissively."""
-        fn = by_name("otl-circuit")
-        lo = fn.ranges[:, 0].copy()
-        with pytest.raises(DomainError):
-            fn.eval_physical(lo)
-        val = fn.eval_physical(lo, permissive=True)
-        assert np.isfinite(val[0])
+        assert "borehole" in msg
+        assert "input 3 = 1.25" in msg and "row 2" in msg
 
     def test_unit_corner_values(self):
-        """u = 0 and u = 1 evaluate at the lo and hi corners."""
+        """u = 0 and u = 1 are admitted and map to the lo and hi corners."""
         for name in ("borehole", "otl-circuit", "wing-weight"):
             fn = by_name(name)
-            lo_val = fn.eval_unit(np.zeros(fn.dim))[0]
-            hi_val = fn.eval_unit(np.ones(fn.dim))[0]
-            assert np.isclose(
-                lo_val, fn.eval_physical(fn.ranges[:, 0], permissive=True)[0],
-                rtol=1e-12,
-            )
-            assert np.isclose(
-                hi_val, fn.eval_physical(fn.ranges[:, 1], permissive=True)[0],
-                rtol=1e-12,
-            )
+            lo, hi = fn.ranges[:, 0], fn.ranges[:, 1]
+            assert np.array_equal(fn.to_physical(np.zeros(fn.dim))[0], lo)
+            assert np.allclose(fn.to_physical(np.ones(fn.dim))[0], hi,
+                               rtol=1e-15, atol=0.0)
+            corners = np.vstack([np.zeros(fn.dim), np.ones(fn.dim)])
+            assert np.all(np.isfinite(fn.eval_unit(corners)))
 
     def test_unit_input_outside_cube_rejected(self):
         """eval_unit validates [0, 1]^d."""
@@ -139,10 +134,10 @@ class TestRangesAndValidation:
             fn.eval_unit(u)
 
     def test_wrong_dimension_rejected(self):
-        """A vector of the wrong length raises."""
+        """A vector of the wrong length raises a domain error naming the function."""
         fn = by_name("otl-circuit")
-        with pytest.raises(DomainError):
-            fn.eval_physical(np.ones(5))
+        with pytest.raises(DomainError, match="otl-circuit takes 6 inputs, got 5"):
+            fn.eval_unit(np.full(5, 0.5))
 
     def test_unknown_name_lists_available(self):
         """Lookup failure shows what names exist."""
@@ -155,16 +150,15 @@ class TestUnitPhysicalConsistency:
     """The affine map and its inverse."""
 
     def test_round_trip_on_random_points(self):
-        """to_unit(to_physical(u)) recovers u, and values agree to 1e-12."""
+        """to_physical maps the cube's interior into the box's, and the
+        inverse affine map recovers u to 1e-12."""
         rng = np.random.default_rng(0)
         for name in BENCHMARKS:
             fn = by_name(name)
             U = rng.uniform(0.05, 0.95, size=(1000, fn.dim))
             X = fn.to_physical(U)
-            assert np.allclose(fn.to_unit(X), U, atol=1e-12)
-            v_unit = fn.eval_unit(U)
-            v_phys = fn.eval_physical(X)
-            assert np.allclose(v_unit, v_phys, rtol=1e-12)
+            assert np.all((X > fn.ranges[:, 0]) & (X < fn.ranges[:, 1]))
+            assert np.allclose(unit(fn, X), U, atol=1e-12)
 
     def test_batch_matches_single(self):
         """Row-wise evaluation equals one-at-a-time evaluation."""
@@ -183,10 +177,10 @@ class TestToyFunctions:
         """f(1, 1) = 2 at the range boundary; f(0, y) = 0 for all y."""
         fn = by_name("xy-plus-x2")
         assert np.array_equal(fn.ranges, np.array([[-1.0, 1.0], [-1.0, 1.0]]))
-        assert fn.eval_physical(np.array([1.0, 1.0]), permissive=True)[0] == 2.0
+        assert fn.eval_unit(unit(fn, [1.0, 1.0]))[0] == 2.0
         for y in (-0.8, -0.2, 0.4, 0.9):
-            assert fn.eval_physical(np.array([0.0, y]))[0] == 0.0
-        assert fn.eval_physical(np.array([0.5, -0.4]))[0] == 0.5 * -0.4 + 0.25
+            assert fn.eval_unit(unit(fn, [0.0, y]))[0] == 0.0
+        assert fn.eval_unit(unit(fn, [0.5, -0.4]))[0] == 0.5 * -0.4 + 0.25
 
     def test_additive_sine_is_exactly_additive(self):
         """f(x) equals the sum of its coordinate slices at baseline zero."""

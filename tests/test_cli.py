@@ -214,6 +214,26 @@ class TestFitPredict:
         assert rc == 1
         assert "abc" in capsys.readouterr().err
 
+    def test_predict_rejects_points_outside_unit_cube(self, tmp_path, capsys):
+        """A point outside [0, 1]^d is a usage error naming its data row and
+        column, not an extrapolated prediction."""
+        model_path = tmp_path / "model.txt"
+        assert cli.main(["fit", "--function", "xy-plus-x2", "--method", "gp-add",
+                         "--model-out", str(model_path),
+                         "--out", str(tmp_path / "f.csv")]) == 0
+        points_path = tmp_path / "points.csv"
+        pred_path = tmp_path / "pred.csv"
+        for row, where in (("2.0,-1", "data row 2, column x1"),
+                           ("0.5,-1", "data row 2, column x2"),
+                           ("0.5,nan", "data row 2, column x2")):
+            points_path.write_text(f"x1,x2\n0.5,0.5\n{row}\n")
+            rc = cli.main(["predict", "--model", str(model_path),
+                           "--points", str(points_path), "--out", str(pred_path)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert where in err and "unit cube" in err
+            assert not pred_path.exists()
+
     def test_predict_missing_model_file(self, tmp_path, capsys):
         points_path = tmp_path / "points.csv"
         points_path.write_text("0.5,0.5\n")
@@ -295,6 +315,20 @@ class TestBenchTable:
         assert la == lb
         assert len(la) == 1 + 3 * 2  # header + methods x seeds
         assert la[0].startswith("function,method,seed")
+
+    def test_gaussian_nu_cell_is_empty(self, tmp_path):
+        """A Gaussian kernel has no nu: the cell is empty, as in ``tune``,
+        not the unused ModelSpec default."""
+        out = tmp_path / "g.csv"
+        assert cli.main(["bench-table", "--functions", "xy-plus-x2",
+                         "--methods", "gp-iso,ppgpr", "--n-train", "10",
+                         "--epochs", "2", "--eta", "1e-8", "--family", "gaussian",
+                         "--out", str(out)]) == 0
+        lines = _body_lines(out)
+        nu = lines[0].split(",").index("nu")
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(r[1], r[5], r[nu]) for r in rows] == [
+            ("gp-iso", "gaussian", ""), ("ppgpr", "gaussian", "")]
 
     def test_unknown_method_rejected(self, capsys):
         rc = cli.main(["bench-table", "--functions", "xy-plus-x2",
@@ -435,6 +469,7 @@ class TestOutputPaths:
         assert rc == 1
         assert "cannot write" in capsys.readouterr().err
         assert not (tmp_path / "fit.csv").exists()
+        assert not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize("argv", [
         ["eval-grid", "--function", "xy-plus-x2", "--resolution", "3", "--model", ""],

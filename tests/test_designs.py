@@ -12,14 +12,10 @@ from ppgp import (
     Design,
     DomainError,
     GENERATORS,
-    distinct_across_points,
-    distinct_within_points,
     halton,
     marginal_fill_distance,
     marginal_fill_distance_exact,
-    moment_matrix,
     randomized_lhs,
-    regularity_order,
     uniform_random,
 )
 
@@ -64,7 +60,7 @@ class TestHalton:
     def test_design_metadata(self):
         """The record carries shape and generator name."""
         D = halton(12, 3)
-        assert D.n == 12
+        assert D.points.shape == (12, 3)
         assert D.d == 3
         assert D.generator == "halton"
         assert "halton" in GENERATORS
@@ -111,7 +107,9 @@ class TestRandomizedLhs:
 
     def test_coordinates_distinct_across_points(self):
         """Each dimension's coordinates are pairwise distinct."""
-        assert distinct_across_points(randomized_lhs(25, 4, 3)) is True
+        D = randomized_lhs(25, 4, 3)
+        for j in range(4):
+            assert np.unique(D.points[:, j]).size == 25
 
 
 class TestUniformRandom:
@@ -133,7 +131,7 @@ class TestMarginalFillDistance:
         """One point at 0.5 has fill distance 0.5."""
         D = Design(points=np.array([[0.5]]), generator="uniform-random", seed=None)
         assert marginal_fill_distance_exact(D, 0) == 0.5
-        grid_value = marginal_fill_distance(D, 0, grid=10001)
+        grid_value = marginal_fill_distance(D, 0)
         assert abs(grid_value - 0.5) <= 1.0 / (2.0 * 10001)
 
     def test_equispaced_centers(self):
@@ -150,7 +148,7 @@ class TestMarginalFillDistance:
             D = randomized_lhs(12, 3, seed)
             for j in range(3):
                 exact = marginal_fill_distance_exact(D, j)
-                approx = marginal_fill_distance(D, j, grid=10001)
+                approx = marginal_fill_distance(D, j)
                 assert abs(approx - exact) <= 1.0 / (2.0 * 10001) + 1e-12
 
     def test_monotone_under_point_addition(self):
@@ -178,68 +176,3 @@ class TestMarginalFillDistance:
         with pytest.raises(DomainError):
             marginal_fill_distance_exact(D, 2)
 
-
-class TestRegularity:
-    """Rank of the polynomial moment matrix."""
-
-    def test_too_few_points_is_false(self):
-        """n = m d points cannot reach rank m d + 1."""
-        D = uniform_random(4, 2, 0)  # n = md with m=2, d=2
-        assert regularity_order(D, 2) is False
-
-    def test_random_design_with_exact_count_is_true(self):
-        """n = m d + 1 random points are regular with probability one."""
-        for seed in range(5):
-            D = uniform_random(5, 2, seed)  # n = md+1 with m=2, d=2
-            assert regularity_order(D, 2) is True
-
-    def test_duplicate_point_kills_rank(self):
-        """A duplicated row at n = m d + 1 leaves rank below m d + 1."""
-        base = uniform_random(4, 2, 1).points
-        pts = np.vstack([base, base[0]])
-        D = Design(points=pts, generator="uniform-random", seed=None)
-        assert regularity_order(D, 2) is False
-
-    def test_larger_design_regular(self):
-        """A spread 1D design is regular at order 3."""
-        assert regularity_order(halton(10, 1), 3) is True
-
-    def test_moment_matrix_shape(self):
-        """The moment matrix has m d + 1 rows and n columns."""
-        D = uniform_random(7, 3, 2)
-        V = moment_matrix(D, 2)
-        assert V.shape == (7, 7)  # md+1 = 7 rows, n = 7 columns
-
-    def test_bad_order_rejected(self):
-        """Order m must be at least 1."""
-        with pytest.raises(DomainError):
-            regularity_order(halton(5, 1), 0)
-
-
-class TestDistinctness:
-    """The two readings of coordinate distinctness."""
-
-    def test_within_point_diagnostic(self):
-        """Flags a repeated entry inside a single point row."""
-        ok = Design(points=np.array([[0.1, 0.2], [0.3, 0.4]]),
-                    generator="uniform-random", seed=None)
-        bad = Design(points=np.array([[0.1, 0.2], [0.3, 0.3]]),
-                     generator="uniform-random", seed=None)
-        assert distinct_within_points(ok) is True
-        assert distinct_within_points(bad) is False
-
-    def test_across_points_diagnostic(self):
-        """Flags a repeated value down a coordinate column."""
-        ok = Design(points=np.array([[0.1, 0.2], [0.3, 0.5]]),
-                    generator="uniform-random", seed=None)
-        bad = Design(points=np.array([[0.1, 0.2], [0.1, 0.5]]),
-                     generator="uniform-random", seed=None)
-        assert distinct_across_points(ok) is True
-        assert distinct_across_points(bad) is False
-
-    def test_the_two_diagnostics_are_independent(self):
-        """A design can satisfy one reading and not the other."""
-        D = Design(points=np.array([[0.1, 0.1], [0.3, 0.4]]),
-                   generator="uniform-random", seed=None)
-        assert distinct_within_points(D) is False
-        assert distinct_across_points(D) is True

@@ -325,12 +325,12 @@ class TestMultivariateKernel:
         assert set(STRUCTURES) == {"isotropic", "product", "additive"}
 
     def test_one_at_zero_lag_all_structures(self):
-        """eval(x, x) is exactly 1 for every structure."""
+        """cross on one row pair (x, x) is exactly 1 for every structure."""
         rng = np.random.default_rng(0)
         x = rng.uniform(size=4)
         for structure in STRUCTURES:
             mk = MultivariateKernel(base=matern(2.5), structure=structure, dim=4)
-            assert mk(x, x) == 1.0
+            assert mk.cross(x, x)[0, 0] == 1.0
 
     def test_additive_is_mean_of_coordinates(self):
         """Additive value equals the mean of per-coordinate 1D values."""
@@ -341,7 +341,7 @@ class TestMultivariateKernel:
             x = rng.uniform(size=5)
             y = rng.uniform(size=5)
             expected = np.mean([base(float(t)) for t in x - y])
-            assert np.isclose(mk(x, y), expected, rtol=1e-14)
+            assert np.isclose(mk.cross(x, y)[0, 0], expected, rtol=1e-14)
 
     def test_additive_zero_coordinate_hand_value(self):
         """d=2 lag (0, t) gives (1 + k(t))/2."""
@@ -350,7 +350,7 @@ class TestMultivariateKernel:
         for t in (0.2, 0.6, 1.1):
             x = np.array([0.3, 0.1 + t])
             y = np.array([0.3, 0.1])
-            assert np.isclose(mk(x, y), 0.5 * (1.0 + base(t)), rtol=1e-14)
+            assert np.isclose(mk.cross(x, y)[0, 0], 0.5 * (1.0 + base(t)), rtol=1e-14)
 
     def test_product_identical_coordinates(self):
         """d=3 lag (t, t, t) gives k(t)**3."""
@@ -359,7 +359,7 @@ class TestMultivariateKernel:
         for t in (0.15, 0.5, 0.9):
             x = np.full(3, 0.05) + t
             y = np.full(3, 0.05)
-            assert np.isclose(mk(x, y), base(t) ** 3, rtol=1e-13)
+            assert np.isclose(mk.cross(x, y)[0, 0], base(t) ** 3, rtol=1e-13)
 
     def test_product_is_product_of_coordinates(self):
         """Product value equals the product of per-coordinate 1D values."""
@@ -370,7 +370,7 @@ class TestMultivariateKernel:
             x = rng.uniform(size=4)
             y = rng.uniform(size=4)
             expected = np.prod([base(float(t)) for t in x - y])
-            assert np.isclose(mk(x, y), expected, rtol=1e-13)
+            assert np.isclose(mk.cross(x, y)[0, 0], expected, rtol=1e-13)
 
     def test_isotropic_uses_euclidean_norm(self):
         """Isotropic value is the base kernel at the Euclidean distance."""
@@ -381,11 +381,11 @@ class TestMultivariateKernel:
             x = rng.uniform(size=3)
             y = rng.uniform(size=3)
             assert np.isclose(
-                mk(x, y), base(float(np.linalg.norm(x - y))), rtol=1e-13
+                mk.cross(x, y)[0, 0], base(float(np.linalg.norm(x - y))), rtol=1e-13
             )
 
     def test_symmetry_over_random_pairs(self):
-        """eval(x, y) == eval(y, x) bitwise on 1000 random pairs."""
+        """cross on (x, y) equals cross on (y, x) bitwise on 1000 random pairs."""
         rng = np.random.default_rng(4)
         kernels = [
             MultivariateKernel(base=matern(2.5), structure=s, dim=3)
@@ -395,7 +395,7 @@ class TestMultivariateKernel:
             x = rng.uniform(size=3)
             y = rng.uniform(size=3)
             for mk in kernels:
-                assert mk(x, y) == mk(y, x)
+                assert mk.cross(x, y)[0, 0] == mk.cross(y, x)[0, 0]
 
     def test_gram_positive_definite_with_small_nugget(self):
         """Gram + 1e-8*I factors for all structures at n <= 50."""
@@ -409,7 +409,7 @@ class TestMultivariateKernel:
                 np.linalg.cholesky(K + 1e-8 * np.eye(n))
 
     def test_gram_matches_pairwise_eval(self):
-        """gram(X)[i, j] equals eval(x_i, x_j)."""
+        """gram(X)[i, j] equals cross on the single rows x_i, x_j."""
         rng = np.random.default_rng(6)
         X = rng.uniform(size=(7, 3))
         for structure in STRUCTURES:
@@ -417,10 +417,10 @@ class TestMultivariateKernel:
             K = mk.gram(X)
             for i in range(7):
                 for j in range(7):
-                    assert K[i, j] == mk(X[i], X[j])
+                    assert K[i, j] == mk.cross(X[i], X[j])[0, 0]
 
     def test_cross_matches_pairwise_eval(self):
-        """cross(A, B)[i, j] equals eval(a_i, b_j)."""
+        """cross(A, B)[i, j] equals cross on the single rows a_i, b_j."""
         rng = np.random.default_rng(7)
         A = rng.uniform(size=(4, 2))
         B = rng.uniform(size=(6, 2))
@@ -430,7 +430,7 @@ class TestMultivariateKernel:
             assert R.shape == (4, 6)
             for i in range(4):
                 for j in range(6):
-                    assert R[i, j] == mk(A[i], B[j])
+                    assert R[i, j] == mk.cross(A[i], B[j])[0, 0]
 
     @pytest.mark.parametrize("structure", STRUCTURES)
     def test_row_blocks_change_no_value(self, structure):
@@ -475,7 +475,7 @@ class TestMultivariateKernel:
         """Vectors of the wrong length raise a domain error."""
         mk = MultivariateKernel(base=matern(2.5), structure="additive", dim=3)
         with pytest.raises(DomainError):
-            mk(np.zeros(2), np.zeros(2))
+            mk.cross(np.zeros(2), np.zeros(2))
         with pytest.raises(DomainError):
             mk.gram(np.zeros((4, 2)))
 

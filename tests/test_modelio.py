@@ -1,14 +1,18 @@
 """Tests for model serialization round trips."""
 
 import dataclasses
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ppgp import (
+    CholFactor,
     DomainError,
+    GpModel,
     ModelFormatError,
     MultivariateKernel,
     TrainConfig,
@@ -126,6 +130,45 @@ def test_train_config_round_trips(eta, early_stop_rel, nugget, epochs, M, seed, 
                       seed=seed, nugget=nugget, center=center)
     model = dataclasses.replace(_PPGPR, config=cfg)
     assert loads_model(dumps_model(model)).config == cfg
+
+
+@st.composite
+def _gp_models(draw):
+    """A GpModel whose arrays and scalars are arbitrary finite doubles."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def array(*shape):
+        return draw(hnp.arrays(np.float64, shape, elements=_finite))
+
+    kernel = MultivariateKernel(base=matern(2.5, 0.7), structure="product", dim=d)
+    return GpModel(
+        design=array(n, d), responses=array(n), kernel=kernel,
+        nugget=draw(_non_negative), center=draw(st.booleans()),
+        center_mean=draw(_finite),
+        chol=CholFactor(lower=array(n, n), jitter_used=draw(_finite)),
+        alpha=array(n), sigma2_hat=draw(_finite),
+    )
+
+
+def _bits(x):
+    """Shape and raw bytes: equal only for bit-identical doubles (-0.0 too)."""
+    x = np.asarray(x, dtype=np.float64)
+    return x.shape, x.tobytes()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(model=_gp_models())
+def test_gp_model_round_trips_bit_for_bit(model):
+    """dumps/loads keeps every array and scalar field bit for bit, and
+    dumping the loaded model gives the same bytes."""
+    text = dumps_model(model)
+    back = loads_model(text)
+    for name in ("design", "responses", "alpha", "chol.lower", "chol.jitter_used",
+                 "center_mean", "sigma2_hat", "nugget"):
+        get = operator.attrgetter(name)
+        assert _bits(get(back)) == _bits(get(model)), name
+    assert back.center == model.center
+    assert dumps_model(back) == text
 
 
 def _replace_line(text, key, value):
