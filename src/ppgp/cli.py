@@ -177,7 +177,8 @@ SUBCOMMANDS: dict[str, list[Key]] = {
         *_MODEL_KEYS,
         Key("seed", "int", default="0"),
         Key("model_out", "str", required=True, example="model_out=model.txt"),
-        Key("trace_out", "str", example="trace_out=trace.csv"),
+        Key("trace_out", "str", example="trace_out=trace.csv",
+            help="ppgpr only: the per-epoch loss"),
         Key("out", "str", example="out=fit.csv"),
     ],
     "predict": [
@@ -350,12 +351,14 @@ def _run_design(cfg: dict) -> tuple[str, list[str]]:
 
 def _run_fit(cfg: dict) -> tuple[str, list[str]]:
     spec = ModelSpec(cfg["method"], **_spec_fields(cfg, _MODEL_KEYS))
+    if spec.method != "ppgpr" and cfg["trace_out"] is not None:
+        raise ConfigError(f"trace_out is for ppgpr: {spec.method} trains no epochs")
     U, Y = _halton_training(by_name(cfg["function"]), cfg["n_train"])
     model = make_model(spec, U, Y, _experiment_seeds(cfg["seed"])[1])
     ppgpr = isinstance(model, PpgprModel)
     comments = [f"# model written to {cfg['model_out']}"]
     # the trace goes first: a trace path that cannot be written leaves no model
-    if ppgpr and cfg["trace_out"] is not None:
+    if cfg["trace_out"] is not None:
         _write_text(cfg["trace_out"], _csv("epoch,loss", model.trace))
         comments.append(f"# trace written to {cfg['trace_out']}")
     save_model(model, cfg["model_out"])
@@ -415,10 +418,12 @@ def _run_bench_table(cfg: dict) -> tuple[str, list[str]]:
     reports = benchmark_table(cfg["functions"], specs, cfg["seeds"], n_train=cfg["n_train"])
     header = ("function,method,seed,n_train,n_test,family,nu,phi,eta,epochs,M,"
               "centered,diverged,rmse,rmse_abs")
-    rows = [[r.function, r.method, r.seed, r.n_train, r.n_test,
-             *(r.hyperparameters.get(name) for name in
-               ("family", "nu", "phi", "eta", "epochs", "M")),
-             int(r.centered), int(r.diverged), r.rmse, r.rmse_abs] for r in reports]
+    rows = []
+    for r in reports:
+        s = r.spec
+        training = (s.eta, s.epochs, s.M) if s.method == "ppgpr" else (None,) * 3
+        rows.append([r.function, s.method, r.seed, r.n_train, r.n_test, s.family, s.nu,
+                     s.phi, *training, int(s.center), int(r.diverged), r.rmse, r.rmse_abs])
     return _csv(header, rows), []
 
 

@@ -9,19 +9,22 @@ provided as the secondary metric and as the fallback inside the tuner.
 
 A :class:`ModelSpec` names one of the four surrogates (isotropic /
 product / additive GP, or the projection-pursuit GP) with its kernel and
-training hyperparameters, and :func:`make_model` fits it to a training
+training settings, and :func:`make_model` fits it to a training
 set.  Every route to a model goes through that pair: ``run_experiment``,
 ``cross_validate``, ``benchmark_table`` and the command line.
 
 ``run_experiment`` reproduces the standard benchmark protocol: Halton
 training design of size 5 d (unless overridden), 500 seeded
 uniform-random test points, weights seeded from the same master seed.
+Its :class:`ExperimentReport`, one per ``benchmark_table`` row, carries
+in ``spec`` the :class:`ModelSpec` as built: the kernel's own ``nu``
+(None for a Gaussian) and, for ``ppgpr``, the resolved node count ``M``.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -55,7 +58,7 @@ _N_TEST = 500
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One surrogate: its method, 1-d kernel and training hyperparameters.
+    """One surrogate: its method, 1-d kernel and training settings.
 
     ``M=None`` means :func:`default_node_count` of the training set.  The
     GP methods use only the kernel, ``nugget`` and ``center``; ``eta``,
@@ -139,18 +142,19 @@ def _safe_rmse(pred, truth) -> float:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """One (method, function, seed) evaluation, mirroring a results-table row."""
+    """One (spec, function, seed) evaluation, mirroring a results-table row.
 
-    method: str
+    ``spec`` is the surrogate as built: the kernel's own ``nu`` (None for
+    a Gaussian) and, for ``ppgpr``, the resolved node count ``M``.
+    """
+
+    spec: ModelSpec
     function: str
     n_train: int
     n_test: int
     seed: int
     rmse: float
     rmse_abs: float
-    centered: bool
-    wall_ms: float
-    hyperparameters: dict = field(default_factory=dict)
     diverged: bool = False
 
 
@@ -196,30 +200,21 @@ def _experiment(spec: ModelSpec, function: str, n_train: int | None,
     U_test = uniform_random(n_test, fn.dim, test_seed).points
     Y_test = fn.eval_unit(U_test)
 
-    t0 = time.perf_counter()
     model = make_model(spec, U_train, Y_train, weight_seed)
     pred = model.predict(U_test)
-    wall_ms = 1e3 * (time.perf_counter() - t0)
+    ppgpr = isinstance(model, PpgprModel)
     # the built kernel's nu, which is None for a Gaussian whatever spec.nu says
-    base = (model.inner if isinstance(model, PpgprModel) else model).kernel.base
-    hyper: dict = {"family": base.family, "nu": base.nu, "phi": base.phi}
-    diverged = False
-    if isinstance(model, PpgprModel):
-        hyper.update(eta=spec.eta, epochs=spec.epochs, M=model.M)
-        diverged = model.diverged
-
+    built = replace(spec, nu=(model.inner if ppgpr else model).kernel.base.nu,
+                    M=model.M if ppgpr else spec.M)
     return ExperimentReport(
-        method=spec.method,
+        spec=built,
         function=function,
         n_train=U_train.shape[0],
         n_test=n_test,
         seed=seed,
         rmse=_safe_rmse(pred, Y_test),
         rmse_abs=rmse_absolute(pred, Y_test),
-        centered=spec.center,
-        wall_ms=wall_ms,
-        hyperparameters=hyper,
-        diverged=diverged,
+        diverged=ppgpr and model.diverged,
     )
 
 
@@ -246,16 +241,6 @@ class TuneGrid:
         if self.folds < 2:
             raise ConfigError("folds must be at least 2")
 
-    def points(self):
-        """Grid points in deterministic order with their tie-break indices."""
-        out = []
-        for ki, kcfg in enumerate(self.kernels):
-            for M in self.Ms:
-                for ei, eta in enumerate(self.etas):
-                    out.append({"eta": eta, "eta_index": ei, "M": M,
-                                "kernel": kcfg, "kernel_index": ki})
-        return out
-
 
 def fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
     """Deterministic partition of range(n) into near-equal folds."""
@@ -281,8 +266,11 @@ def cross_validate(
     ``hyper`` sets the training fields of :class:`ModelSpec` that the grid
     does not (``epochs``, ``early_stop_rel``, ``nugget``, ``center``).
     Returns (best point, fold table).  The table has one row per (grid
-    point, fold) with the held-out RMSE (relative, absolute fallback on
-    exact zeros); the best point minimizes the mean fold RMSE.
+    point, fold), kernel by kernel, then M, then eta, then fold, with the
+    held-out RMSE (relative, absolute fallback on exact zeros).  The best
+    point (``eta``, ``M``, ``kernel`` and ``mean_rmse``) minimizes the mean
+    fold RMSE, ties broken as :class:`TuneGrid` says.  Rows and best point
+    carry the built kernel's ``nu``, which is None for a Gaussian.
     """
     clash = sorted(set(hyper) & set(_GRID_FIELDS))
     if clash:
@@ -296,11 +284,11 @@ def cross_validate(
     all_idx = np.arange(X.shape[0])
 
     table: list[dict] = []
-    scored: list[tuple] = []
-    for gi, point in enumerate(grid.points()):
-        family, nu, phi = point["kernel"]
-        point_spec = replace(spec, family=family, nu=nu, phi=phi,
-                             eta=point["eta"], M=point["M"])
+    best, best_key = None, None
+    points = product(grid.kernels, grid.Ms, enumerate(grid.etas))
+    for gi, ((family, nu, phi), M, (ei, eta)) in enumerate(points):
+        nu = Kernel1d(family, nu, phi).nu
+        point_spec = replace(spec, family=family, nu=nu, phi=phi, eta=eta, M=M)
         fold_scores = []
         for fi, hold in enumerate(folds):
             train_idx = np.setdiff1d(all_idx, hold)
@@ -311,17 +299,17 @@ def cross_validate(
                 score = np.inf
             fold_scores.append(score)
             table.append({
-                "grid_index": gi, "eta": point["eta"], "M": point["M"],
+                "grid_index": gi, "eta": eta, "M": M,
                 "family": family, "nu": nu, "phi": phi,
                 "fold": fi, "rmse": score,
             })
         mean_score = float(np.mean(fold_scores))
-        scored.append((
-            mean_score, point["M"], point["eta_index"], point["kernel_index"], gi,
-        ))
-    best_score = min(scored)
-    best = dict(grid.points()[best_score[-1]])
-    best["mean_rmse"] = best_score[0]
+        # points come kernel by kernel, so on a full tie the earlier kernel stays
+        key = (mean_score, M, ei)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = {"eta": eta, "M": M, "kernel": (family, nu, phi),
+                    "mean_rmse": mean_score}
     return best, table
 
 

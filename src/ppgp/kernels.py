@@ -136,7 +136,7 @@ class Kernel1d:
 
     @property
     def differentiable(self) -> bool:
-        """Whether :meth:`derivative` is available for this kernel."""
+        """Whether :meth:`value_and_derivative` is available for this kernel."""
         return self.family == "gaussian" or (self.nu is not None and self.nu > 1)
 
     def __call__(self, t):

@@ -6,6 +6,7 @@ built on it typically have n <= 100 training points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ def cholesky_with_jitter(A: np.ndarray, delta0: float = 0.0) -> CholFactor:
     Raises
     ------
     SingularMatrixError
-        If ``A`` is not symmetric within ``1e-10`` or no ladder rung
-        succeeds.
+        If ``delta0`` is negative or not finite, ``A`` is not symmetric
+        within ``1e-10``, or no ladder rung succeeds.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -63,8 +64,8 @@ def cholesky_with_jitter(A: np.ndarray, delta0: float = 0.0) -> CholFactor:
         raise SingularMatrixError(
             f"matrix is not symmetric: max |A - A^T| entry is {asym:.3e}"
         )
-    if delta0 < 0:
-        raise SingularMatrixError("delta0 must be non-negative")
+    if not (math.isfinite(delta0) and delta0 >= 0):
+        raise SingularMatrixError(f"delta0 must be finite and non-negative (got {delta0})")
 
     delta = float(delta0)
     while True:

@@ -3,13 +3,16 @@
 The model applies a learned linear map ``W`` (M x d, M typically >= d) to
 the inputs and fits a GP with an additive correlation over the M
 transformed coordinates.  ``W`` is trained by full-batch gradient descent
-on the profile likelihood objective
+on the objective
 
     l(W) = Y^T (K_W + delta I)^-1 Y + log det(K_W + delta I),
 
 where ``K_W[i, j]`` averages the base correlation over the M projected
-lags ``w_k^T (x_i - x_j)``.  The gradient in each row ``w_k`` follows the
-standard identity
+lags ``w_k^T (x_i - x_j)``.  ``l`` is minus twice the Gaussian
+log-likelihood at unit process variance, up to a constant; it is not the
+variance-profiled likelihood, whose data term is
+``n log(Y^T (K_W + delta I)^-1 Y)``.  The gradient in each row ``w_k``
+follows the standard identity
 
     dl/dtheta = -alpha^T (dK/dtheta) alpha + tr(K^-1 dK/dtheta),
     alpha = (K + delta I)^-1 Y,

@@ -353,6 +353,16 @@ class TestTune:
         assert float(best_cells[2]) == 1e-8
         assert int(best_cells[3]) == 4
 
+    def test_gaussian_nu_cell_is_empty(self, tmp_path):
+        """Fold and best rows carry the built kernel's nu, None for a Gaussian."""
+        out = tmp_path / "tune.csv"
+        assert cli.main(["tune", "--function", "xy-plus-x2", "--n-train", "12",
+                         "--etas", "1e-8", "--Ms", "3", "--folds", "2", "--epochs", "3",
+                         "--kernels", "gaussian:2.5:0.5", "--out", str(out)]) == 0
+        lines = _body_lines(out)
+        nu = lines[0].split(",").index("nu")
+        assert [line.split(",")[nu] for line in lines[1:]] == ["", "", ""]
+
 
 class TestTheoryCheck:
     """Rate measurement through the CLI."""
@@ -470,6 +480,16 @@ class TestOutputPaths:
         assert "cannot write" in capsys.readouterr().err
         assert not (tmp_path / "fit.csv").exists()
         assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("method", ["gp-iso", "gp-pro", "gp-add"])
+    def test_trace_out_rejected_for_gp_methods(self, tmp_path, capsys, method):
+        """A GP fit has no epochs to trace: the key is an error, not ignored."""
+        rc = cli.main(["fit", "--function", "xy-plus-x2", "--method", method,
+                       "--model-out", str(tmp_path / "m.txt"),
+                       "--trace-out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert "trace_out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["eval-grid", "--function", "xy-plus-x2", "--resolution", "3", "--model", ""],

@@ -1,7 +1,5 @@
 """Tests for the error metrics, tuning loop, and experiment runner."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -127,15 +125,22 @@ class TestTuneGrid:
             TuneGrid(etas=(1e-8,), Ms=(10,), folds=1)
 
     def test_points_enumeration(self):
+        """cross_validate's table runs kernel, then M, then eta, then fold,
+        and records the built kernel's nu (None for a Gaussian)."""
+        fn = by_name("xy-plus-x2")
+        U = halton(12, 2).points
         grid = TuneGrid(
-            etas=(1e-8, 1e-9), Ms=(5, 10),
-            kernels=(("matern", 2.5, 1.0), ("gaussian", None, 0.5)),
+            etas=(1e-8, 1e-9), Ms=(4, 3), folds=2,
+            kernels=(("matern", 2.5, 1.0), ("gaussian", 2.5, 0.5)),
         )
-        pts = grid.points()
-        assert len(pts) == 8
-        assert pts[0]["eta"] == 1e-8 and pts[0]["M"] == 5
-        assert pts[0]["kernel"] == ("matern", 2.5, 1.0)
-        assert pts[-1]["kernel"] == ("gaussian", None, 0.5)
+        _, table = cross_validate(U, fn.eval_unit(U), grid, seed=0, epochs=2)
+        got = [(r["grid_index"], r["family"], r["nu"], r["phi"], r["M"], r["eta"],
+                r["fold"]) for r in table]
+        built = (("matern", 2.5, 1.0), ("gaussian", None, 0.5))
+        points = [(k, M, eta) for k in built for M in (4, 3) for eta in (1e-8, 1e-9)]
+        want = [(gi, *k, M, eta, fold)
+                for gi, (k, M, eta) in enumerate(points) for fold in (0, 1)]
+        assert got == want
 
 
 class TestCrossValidate:
@@ -174,6 +179,16 @@ class TestCrossValidate:
         bad = [r["rmse"] for r in table if r["eta"] == 1e30]
         good = [r["rmse"] for r in table if r["eta"] == 1e-7]
         assert np.mean(good) < np.mean(bad)
+
+    @pytest.mark.parametrize("etas", [(1e-300, 0.0), (0.0, 1e-300)])
+    def test_tie_goes_to_the_earlier_eta(self, etas):
+        """A 1e-300 step moves no weight, so both etas train the same
+        models; the tie goes to the eta listed first."""
+        X, Y = self._borehole_data(12)
+        grid = TuneGrid(etas=etas, Ms=(3,), folds=2)
+        best, table = cross_validate(X, Y, grid, seed=0, epochs=3)
+        assert [r["rmse"] for r in table[:2]] == [r["rmse"] for r in table[2:]]
+        assert best["eta"] == etas[0]
 
     def test_too_many_folds_rejected(self):
         X, Y = self._borehole_data(4)
@@ -218,33 +233,34 @@ class TestRunExperiment:
 
     def test_report_fields(self):
         rep = run_experiment("gp-iso", "borehole", n_train=20, n_test=50,
-                             seed=3)
-        assert rep.method == "gp-iso"
+                             seed=3, family="gaussian")
+        assert rep.spec == ModelSpec("gp-iso", family="gaussian", nu=None)
+        assert rep.spec.method == "gp-iso"
+        assert rep.spec.center is True
+        assert rep.spec.nu is None
         assert rep.function == "borehole"
         assert rep.n_train == 20
         assert rep.n_test == 50
         assert rep.seed == 3
         assert rep.rmse >= 0.0 and np.isfinite(rep.rmse)
         assert rep.rmse_abs >= 0.0 and np.isfinite(rep.rmse_abs)
-        assert rep.wall_ms >= 0.0
-        assert rep.centered is True
         assert rep.diverged is False
+        # the spec as built: ppgpr's node count M is resolved from the data
+        rep = run_experiment("ppgpr", "borehole", n_train=20, n_test=20,
+                             seed=0, epochs=2)
+        assert rep.spec == ModelSpec("ppgpr", epochs=2, M=default_node_count(20, 8))
 
     def test_default_training_size_is_5d(self):
         rep = run_experiment("gp-add", "otl-circuit", n_test=20, seed=0)
         assert rep.n_train == 30
 
     def test_deterministic_up_to_wall_clock(self):
-        """Identical seeds give identical reports except the timing."""
+        """Identical seeds give identical reports; a report holds no timing."""
         a = run_experiment("ppgpr", "borehole", n_train=20, n_test=50,
                            seed=5, eta=1e-8, epochs=15)
         b = run_experiment("ppgpr", "borehole", n_train=20, n_test=50,
                            seed=5, eta=1e-8, epochs=15)
-        fa = dataclasses.asdict(a)
-        fb = dataclasses.asdict(b)
-        fa.pop("wall_ms")
-        fb.pop("wall_ms")
-        assert fa == fb
+        assert a == b
 
     def test_seed_moves_the_test_design(self):
         a = run_experiment("gp-iso", "borehole", n_train=20, n_test=50, seed=0)

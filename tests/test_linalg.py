@@ -86,9 +86,10 @@ class TestCholeskyWithJitter:
             cholesky_with_jitter(-np.eye(3), 0.0)
 
     def test_negative_delta0_rejected(self):
-        """The starting jitter must be non-negative."""
-        with pytest.raises(SingularMatrixError):
-            cholesky_with_jitter(np.eye(2), -1e-6)
+        """The starting jitter must be finite and non-negative."""
+        for delta0 in (-1e-6, math.nan, math.inf):
+            with pytest.raises(SingularMatrixError):
+                cholesky_with_jitter(np.eye(3), delta0)
 
 
 class TestSolves:

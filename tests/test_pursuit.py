@@ -231,6 +231,15 @@ class TestLossAndGradient:
         with pytest.raises(SingularMatrixError):
             loss_and_gradient(W, X, Y, matern(2.5))
 
+    def test_non_finite_nugget_is_numeric_failure(self):
+        """A nan nugget is rejected by the factorization, not passed to scipy."""
+        from ppgp import SingularMatrixError
+
+        X = halton(6, 2).points
+        W = init_weights(2, 3, 0)
+        with pytest.raises(SingularMatrixError, match="delta0"):
+            loss_and_gradient(W, X, np.ones(6), matern(2.5), nugget=float("nan"))
+
     def test_overflowing_projection_is_numeric_failure(self):
         """Finite weights whose projections or lags overflow are a numeric failure."""
         from ppgp import SingularMatrixError
