@@ -88,13 +88,20 @@ def _matern_at(nu, s, e=None):
     """
     coeffs = _HALF_INTEGER_POLY.get(nu)
     if coeffs is not None:
-        # Horner's rule started from 0 * s, so an overflowed s = inf
-        # gives nan whatever the degree
-        poly = s * 0.0
-        poly += coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            poly *= s
-            poly += c
+        # Horner's rule.  An overflowed s = inf must give nan, not the
+        # limit 0.  From degree 1 on the chain starts at s * c_last, which
+        # is inf there, and inf * exp(-inf) is nan; for finite s it has the
+        # bits of (0 * s + c_last) * s.  Only the constant polynomial
+        # (nu = 1/2) still needs the 0 * s start to carry the nan.
+        if len(coeffs) == 1:
+            poly = s * 0.0
+            poly += coeffs[0]
+        else:
+            poly = s * coeffs[-1]
+            poly += coeffs[-2]
+            for c in reversed(coeffs[:-2]):
+                poly *= s
+                poly += c
         poly *= np.exp(-s) if e is None else e
         return poly
     # general smoothness via the Bessel form; the s -> 0 limit is 1

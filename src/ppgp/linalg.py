@@ -1,7 +1,20 @@
 """Dense SPD linear algebra: Cholesky with a jitter ladder, solves, log-det.
 
-Everything is dense and delegated to LAPACK via numpy/scipy; the models
-built on it typically have n <= 100 training points.
+Everything is dense and delegated to LAPACK; the models built on it
+typically have n <= 100 training points, where the fixed cost of a call
+outweighs its arithmetic, so the helpers call the routines directly:
+
+* :func:`cholesky_with_jitter` factors through ``np.linalg.cholesky``
+  (LAPACK ``potrf`` behind numpy's wrapper).  scipy's ``dpotrf`` is
+  cheaper to call, but numpy and scipy each bundle their own OpenBLAS,
+  and on correlation matrices from n = 12 up (numpy 2.4, scipy 1.17) its
+  factor differs from numpy's in the last bits; stored models and loss
+  traces keep numpy's.
+* :func:`solve_spd` and :func:`inverse_spd` call ``dpotrs`` from
+  ``scipy.linalg.lapack``; the inverse solves against the identity.  This
+  is what ``scipy.linalg.cho_solve`` does, without its argument checks,
+  and gives the same bits.
+* :func:`logdet` sums the logs of the factor's diagonal.
 """
 
 from __future__ import annotations
@@ -10,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 
 from .errors import SingularMatrixError
 
@@ -58,19 +71,24 @@ def cholesky_with_jitter(A: np.ndarray, delta0: float = 0.0) -> CholFactor:
         raise SingularMatrixError(f"expected a square matrix, got {A.shape}")
     if A.size and not np.isfinite(A).all():
         raise SingularMatrixError("matrix contains non-finite entries")
-    asym = float(np.max(np.abs(A - A.T))) if A.size else 0.0
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    if asym > SYMMETRY_TOL * max(1.0, scale):
-        raise SingularMatrixError(
-            f"matrix is not symmetric: max |A - A^T| entry is {asym:.3e}"
-        )
+    # A finite matrix equal to its transpose has max |A - A^T| = 0, which
+    # passes the tolerance; only an asymmetric one needs the scans
+    asym = 0.0
+    if not (A == A.T).all():
+        asym = float(np.max(np.abs(A - A.T)))
+        if asym > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(A)))):
+            raise SingularMatrixError(
+                f"matrix is not symmetric: max |A - A^T| entry is {asym:.3e}"
+            )
     if not (math.isfinite(delta0) and delta0 >= 0):
         raise SingularMatrixError(f"delta0 must be finite and non-negative (got {delta0})")
 
     delta = float(delta0)
     while True:
+        shifted = A.copy()
+        shifted.flat[:: A.shape[0] + 1] += delta      # A + delta * I
         try:
-            L = np.linalg.cholesky(A + delta * np.eye(A.shape[0]))
+            L = np.linalg.cholesky(shifted)
             return CholFactor(lower=L, jitter_used=delta)
         except np.linalg.LinAlgError:
             if delta >= JITTER_MAX:
@@ -81,14 +99,31 @@ def cholesky_with_jitter(A: np.ndarray, delta0: float = 0.0) -> CholFactor:
             delta = JITTER_FLOOR if delta == 0.0 else min(delta * 10.0, JITTER_MAX)
 
 
+def _potrs(F: CholFactor, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
+    """``dpotrs`` on the lower factor; an empty ``b`` returns an empty result."""
+    if b.size == 0:
+        # dpotrs rejects a 0 x 0 factor
+        return np.empty(b.shape)
+    x, info = dpotrs(F.lower, b, lower=True, overwrite_b=overwrite_b)
+    if info != 0:
+        raise SingularMatrixError(f"dpotrs rejected argument {-info}")
+    return x
+
+
 def solve_spd(F: CholFactor, b: np.ndarray) -> np.ndarray:
-    """Solve ``(A + jitter * I) x = b`` from the factor, via two triangular solves."""
+    """Solve ``(A + jitter * I) x = b`` from the factor, via two triangular solves.
+
+    ``b`` is a vector or a matrix of finite right-hand sides, with ``F.n``
+    rows.
+    """
     b = np.asarray(b, dtype=float)
     if b.shape[0] != F.n:
         raise SingularMatrixError(
             f"right-hand side has length {b.shape[0]}, factor is {F.n}x{F.n}"
         )
-    return cho_solve((F.lower, True), b)
+    if not np.isfinite(b).all():
+        raise SingularMatrixError("right-hand side contains non-finite entries")
+    return _potrs(F, b)
 
 
 def logdet(F: CholFactor) -> float:
@@ -97,5 +132,5 @@ def logdet(F: CholFactor) -> float:
 
 
 def inverse_spd(F: CholFactor) -> np.ndarray:
-    """Dense inverse of the factored matrix."""
-    return cho_solve((F.lower, True), np.eye(F.n))
+    """Dense inverse of the factored matrix (column-major)."""
+    return _potrs(F, np.eye(F.n, order="F"), overwrite_b=True)

@@ -29,7 +29,10 @@ gradient with the weight ``(B[i, j] + B[j, i]) / M``, where
 ``B = K^-1 - alpha alpha^T``, so after the factorization the gradient is
 one matrix product per block.  Memory is the stored derivatives, about
 ``4 n^2 M`` bytes, plus O(n^2) for ``K``, its inverse and the pair
-indices; no n x n x M tensor is built.
+indices; no n x n x M tensor is built.  The pair indices depend on n
+alone, so they are built once per n and cached, read-only, for the last
+:data:`PAIR_CACHE_SIZE` values of n used: about 8 n^2 bytes for each n,
+1.3 MB at n = 400.
 
 Within an epoch every row is updated from the same factorization
 (Jacobi-style); the returned model is the one at the best-loss epoch, not
@@ -39,6 +42,7 @@ over a 10-epoch window falls below a threshold.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,8 +69,12 @@ EARLY_STOP_WINDOW = 10
 # temporaries glibc grew and trimmed the heap around every block unless an
 # earlier free of a larger block had raised its trim threshold, so an n=40
 # call took about 180 minor page faults and up to twice as long.  At 64 KiB
-# the calls fault next to nothing in every process state measured.
+# the calls fault next to nothing in every process state measured.  The
+# blocks slice pair indices that _pair_indices caches per n (1.3 MB at
+# n=400), so no call rebuilds them.
 BLOCK_LAGS = 1 << 13
+# Distinct n whose pair indices stay cached (one CV tune uses two).
+PAIR_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -146,6 +154,14 @@ def default_node_count(n: int, d: int) -> int:
     return max(1, min(n - 5, 5 * d))
 
 
+@functools.lru_cache(maxsize=PAIR_CACHE_SIZE)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, made read-only because it is shared."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def _additive_kernel(base: Kernel1d, M: int) -> MultivariateKernel:
     return MultivariateKernel(base=base, structure="additive", dim=M)
 
@@ -161,7 +177,8 @@ def loss_and_gradient(
 
     ``Y`` is used as given (center beforehand if the model is centered).
     Raises ``DomainError`` for kernels without a usable derivative (Matérn
-    needs nu > 1), and ``SingularMatrixError``, which :func:`train` treats
+    needs nu > 1) and for a ``Y`` that is not one finite response per row
+    of ``X``, and ``SingularMatrixError``, which :func:`train` treats
     as divergence, when the weights or the projected lags are not finite or
     the correlation matrix cannot be factored.
     """
@@ -172,7 +189,15 @@ def loss_and_gradient(
         )
     W = np.atleast_2d(np.asarray(W, dtype=float))
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.asarray(Y, dtype=float).reshape(-1)
+    Y = np.asarray(Y, dtype=float)
+    if Y.size != X.shape[0]:
+        raise DomainError(
+            f"Y has shape {Y.shape} but X has {X.shape[0]} rows; "
+            "expected one response per row"
+        )
+    Y = Y.reshape(-1)
+    if not np.isfinite(Y).all():
+        raise DomainError("responses Y contain non-finite entries")
     if not np.isfinite(W).all():
         # Weights blow up when the step size is too aggressive; surface it
         # as the numeric failure the training loop treats as divergence.
@@ -189,13 +214,16 @@ def loss_and_gradient(
 
     # One pass over the pairs i < j: K from the kernel values, k' kept
     kernel = _additive_kernel(kernel1d, M)
-    iu, ju = np.triu_indices(X.shape[0], 1)
+    iu, ju = _pair_indices(X.shape[0])
     step = max(1, BLOCK_LAGS // M)
     dk = np.empty((iu.size, M))
     k_pairs = np.empty(iu.size)
     for start in range(0, iu.size, step):
         block = slice(start, start + step)
-        k, dk[block] = kernel1d.value_and_derivative(T[iu[block]] - T[ju[block]])
+        # take gathers rows about twice as fast as T[iu[block]] at these
+        # sizes, with the same bits
+        lags = T.take(iu[block], axis=0) - T.take(ju[block], axis=0)
+        k, dk[block] = kernel1d.value_and_derivative(lags)
         k_pairs[block] = kernel.combine(k)
     K = np.empty((X.shape[0], X.shape[0]))
     K[iu, ju] = K[ju, iu] = k_pairs
@@ -208,13 +236,13 @@ def loss_and_gradient(
     # B = K^-1 - alpha alpha^T contracts against dK/dw_k; k' is odd, so
     # the pairs (i, j) and (j, i) share the weight (B[i,j] + B[j,i]) / M
     B = inverse_spd(chol) - np.outer(alpha, alpha)
-    pair_weight = (B[iu, ju] + B[ju, iu]) / M
+    pair_weight = (B + B.T)[iu, ju] / M
     # the contraction's temporaries hold pairs x d entries, not pairs x M
     grad = np.zeros((M, X.shape[1]))
     step = max(1, BLOCK_LAGS // X.shape[1])
     for start in range(0, iu.size, step):
         block = slice(start, start + step)
-        D = X[iu[block]] - X[ju[block]]
+        D = X.take(iu[block], axis=0) - X.take(ju[block], axis=0)
         D *= pair_weight[block, None]
         grad += dk[block].T @ D                       # (M, d)
     return loss, grad

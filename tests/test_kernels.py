@@ -201,11 +201,16 @@ class TestKernel1dValues:
 
         The Matérn scaled distance overflows to inf and the value is nan
         (a numeric failure for the caller to handle); the Gaussian is 0.
+        nu = 1/2 and 7/2 are the degree-0 and degree-3 Horner chains; at
+        nu = 1/2 and phi = 1 the scaled distance sqrt(2) 1e308 is still
+        finite and the value is the limit 0, so phi = 3 makes it overflow.
         """
         t = np.array([1e308, -1e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for k in (matern(2.5), matern(2.2), matern(1.5, phi=3.0)):
+            assert np.array_equal(matern(0.5)(t), [0.0, 0.0])
+            assert np.isnan(matern(0.5, phi=3.0)(t)).all()
+            for k in (matern(2.5), matern(2.2), matern(1.5, phi=3.0), matern(3.5)):
                 assert np.isnan(k(t)).all(), f"nu={k.nu}"
                 val, der = k.value_and_derivative(t)
                 assert np.isnan(val).all() and np.isnan(der).all()

@@ -1,19 +1,23 @@
 """Tests for the dense SPD linear algebra helpers.
 
 Oracles: hand 2x2 Cholesky factors, eigenvalue decompositions computed
-directly with numpy, and residual norms of reconstructed systems.
+directly with numpy, residual norms of reconstructed systems, and the
+bits of ``np.linalg.cholesky`` and ``scipy.linalg.cho_solve``.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from ppgp import (
+    MultivariateKernel,
     SingularMatrixError,
     cholesky_with_jitter,
     inverse_spd,
     logdet,
+    matern,
     solve_spd,
 )
 
@@ -145,6 +149,13 @@ class TestSolves:
         with pytest.raises(SingularMatrixError):
             solve_spd(f, np.ones(4))
 
+    def test_non_finite_right_hand_side_rejected(self):
+        """A nan or inf right-hand side raises instead of solving to nan."""
+        f = cholesky_with_jitter(np.eye(3), 0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(SingularMatrixError, match="non-finite"):
+                solve_spd(f, np.array([1.0, bad, 0.0]))
+
 
 class TestLogdetAndInverse:
     """Log-determinants and explicit inverses from a factor."""
@@ -176,3 +187,55 @@ class TestLogdetAndInverse:
         inv = inverse_spd(f)
         assert np.allclose(A @ inv, np.eye(7), atol=1e-10)
         assert np.allclose(inv, inv.T, atol=1e-12)
+
+
+class TestLapackPathBits:
+    """The helpers reproduce the bits of the numpy and scipy routines they
+    stand in for: ``np.linalg.cholesky(A + delta I)`` for the factor and
+    ``scipy.linalg.cho_solve`` for the solves and the inverse."""
+
+    SIZES = (1, 5, 32, 40, 100)
+
+    @staticmethod
+    def factor(n):
+        """A Matérn correlation matrix and its factor at nugget 1e-6; from
+        n = 32 on, scipy's dpotrf factors these in other bits than numpy."""
+        rng = np.random.default_rng(n)
+        A = MultivariateKernel(matern(2.5), "additive", 8).gram(rng.random((n, 8)))
+        return A, cholesky_with_jitter(A, 1e-6), rng
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_factor_matches_numpy_cholesky(self, n):
+        """The lower factor is numpy's factor of A + delta I, bit for bit."""
+        A, f, _ = self.factor(n)
+        expected = np.linalg.cholesky(A + 1e-6 * np.eye(n))
+        assert f.jitter_used == 1e-6
+        assert f.lower.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_solves_match_cho_solve(self, n):
+        """Vector, matrix and column-major right-hand sides, and the inverse."""
+        _, f, rng = self.factor(n)
+        B = rng.normal(size=(n, 3))
+        for b in (B[:, 0], B, np.asfortranarray(B)):
+            got = solve_spd(f, b)
+            expected = cho_solve((f.lower, True), b)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+        expected = cho_solve((f.lower, True), np.eye(n))
+        assert inverse_spd(f).tobytes() == expected.tobytes()
+
+    def test_symmetric_input_is_left_unchanged(self):
+        """The jitter goes on a copy's diagonal; the caller's matrix stays."""
+        A, _, _ = self.factor(5)
+        before = A.copy()
+        cholesky_with_jitter(A, 1e-3)
+        assert A.tobytes() == before.tobytes()
+
+    def test_empty_factor(self):
+        """A 0 x 0 factor solves to shape (0,), inverts to (0, 0) and has
+        log-determinant 0."""
+        f = cholesky_with_jitter(np.empty((0, 0)), 1e-6)
+        assert solve_spd(f, np.empty(0)).shape == (0,)
+        assert inverse_spd(f).shape == (0, 0)
+        assert logdet(f) == 0.0

@@ -253,6 +253,42 @@ class TestLossAndGradient:
         with pytest.raises(SingularMatrixError):
             loss_and_gradient(np.array([[1e308]]), X2, np.ones(3), gaussian(1.0))
 
+    def test_misshapen_responses_are_a_domain_error(self):
+        """A Y that is not one response per row of X is bad input, not the
+        numeric failure the trainer would record as divergence."""
+        X = halton(6, 2).points
+        W = init_weights(2, 3, 0)
+        for Y in (np.ones(5), np.ones((6, 2)), np.array([1.0, 2, 3, 4, 5, np.nan])):
+            with pytest.raises(DomainError):
+                loss_and_gradient(W, X, Y, matern(2.5))
+        # a column of n responses is still one per row
+        assert loss_and_gradient(W, X, np.ones((6, 1)), matern(2.5))[0] == (
+            loss_and_gradient(W, X, np.ones(6), matern(2.5))[0]
+        )
+
+    def test_cached_pair_indices_follow_n(self):
+        """Calls that alternate n reuse each n's pair indices and give the
+        bits of a first call; the shared index arrays are read-only."""
+        from ppgp.pursuit import _pair_indices
+
+        rng = np.random.default_rng(8)
+        cases = {}
+        for n in (7, 12):
+            X = uniform_random(n, 3, n).points
+            Y = rng.normal(size=n)
+            W = init_weights(3, 4, n)
+            _pair_indices.cache_clear()
+            cases[n] = (X, Y, W, loss_and_gradient(W, X, Y, matern(2.5)))
+        _pair_indices.cache_clear()
+        for n in (7, 12, 7):
+            X, Y, W, (loss, grad) = cases[n]
+            again, grad_again = loss_and_gradient(W, X, Y, matern(2.5))
+            assert again == loss and grad_again.tobytes() == grad.tobytes()
+        assert _pair_indices.cache_info().hits == 1
+        for index in _pair_indices(7):
+            with pytest.raises(ValueError):
+                index[0] = 1
+
 
 class TestTrainConfig:
     """Hyperparameter validation."""
