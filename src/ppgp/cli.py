@@ -230,10 +230,11 @@ SUBCOMMANDS: dict[str, list[Key]] = {
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Parse a key=value config file; '#' starts a comment line."""
+    """Parse a key=value config file; '#' starts a comment line, and a
+    leading byte-order mark is ignored."""
     out: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
@@ -306,7 +307,9 @@ def _write_text(path: str, text: str) -> None:
 def _read_points_csv(path: str) -> np.ndarray:
     rows = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a byte-order mark, which would otherwise turn the
+        # first cell into a non-number and a headerless first row into a header
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read points file {path!r}: {exc}") from None

@@ -12,6 +12,10 @@ Bessel evaluation.  :meth:`Kernel1d.value_and_derivative` returns the
 correlation and its lag derivative together, sharing one ``exp`` where the
 closed forms allow.
 
+The Bessel branch imports ``scipy.special`` on its first call, not this
+module: no half-integer or Gaussian kernel needs it, and loading SciPy more
+than doubles the start-up of a short command such as ``ppgp predict``.
+
 Multivariate structures compose a single 1-d base correlation over the
 coordinates of the lag ``x - y``:
 
@@ -35,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, kv
 
 from .errors import DomainError
 
@@ -105,6 +108,8 @@ def _matern_at(nu, s, e=None):
         poly *= np.exp(-s) if e is None else e
         return poly
     # general smoothness via the Bessel form; the s -> 0 limit is 1
+    from scipy.special import gamma, kv   # loaded on first use; see the module docstring
+
     val = s**nu * kv(nu, s) / (gamma(nu) * 2.0 ** (nu - 1.0))
     val = np.where(s == 0.0, 1.0, val)
     # kv underflows to 0 for large s, giving the correct limit, but the

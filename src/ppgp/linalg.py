@@ -15,6 +15,13 @@ outweighs its arithmetic, so the helpers call the routines directly:
   is what ``scipy.linalg.cho_solve`` does, without its argument checks,
   and gives the same bits.
 * :func:`logdet` sums the logs of the factor's diagonal.
+
+``scipy.linalg`` is imported inside :func:`_potrs`, on the first solve, not
+with this module.  Loading it pulls in SciPy's array-API layer (among others
+``numpy.testing`` and ``numpy.f2py``), which more than doubles the start-up
+of a command that never factors a matrix, such as ``ppgp predict``.  Once
+loaded, the import statement is a lookup in ``sys.modules``, under a
+microsecond against the tens of microseconds of a solve.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .errors import SingularMatrixError
 
@@ -104,6 +110,8 @@ def _potrs(F: CholFactor, b: np.ndarray, overwrite_b: bool = False) -> np.ndarra
     if b.size == 0:
         # dpotrs rejects a 0 x 0 factor
         return np.empty(b.shape)
+    from scipy.linalg.lapack import dpotrs   # loaded on first use; see the module docstring
+
     x, info = dpotrs(F.lower, b, lower=True, overwrite_b=overwrite_b)
     if info != 0:
         raise SingularMatrixError(f"dpotrs rejected argument {-info}")

@@ -165,6 +165,16 @@ def _read_gp(r: _Reader) -> GpModel:
     responses = r.vector("responses")
     alpha = r.vector("alpha")
     lower = r.matrix("chol")
+    n = design.shape[0]
+    for name, v in (("responses", responses), ("alpha", alpha)):
+        if v.shape[0] != n:
+            raise ModelFormatError(
+                f"vector {name} has {v.shape[0]} entries for {n} design rows"
+            )
+    if lower.shape != (n, n):
+        raise ModelFormatError(
+            f"matrix chol is {lower.shape[0]}x{lower.shape[1]}, expected {n}x{n}"
+        )
     kernel = MultivariateKernel(
         base=Kernel1d(family, nu, phi), structure=structure, dim=design.shape[1]
     )
@@ -184,9 +194,9 @@ def _read_gp(r: _Reader) -> GpModel:
 def loads_model(text: str):
     """Parse a serialized model; returns a GpModel or PpgprModel.
 
-    A malformed file, a number that does not parse included, raises
-    ``ModelFormatError``; a well-formed value outside its domain raises
-    ``DomainError``.
+    A malformed file, a number that does not parse or an array whose shape
+    disagrees with the others included, raises ``ModelFormatError``; a
+    well-formed value outside its domain raises ``DomainError``.
     """
     r = _Reader(text)
     try:
@@ -214,11 +224,24 @@ def _parse(r: _Reader):
         best_epoch = int(r.key_value("best_epoch"))
         diverged = bool(int(r.key_value("diverged")))
         W = r.matrix("W")
+        if W.shape[0] != config["M"]:
+            raise ModelFormatError(
+                f"matrix W has {W.shape[0]} rows, config M is {config['M']}"
+            )
         trace_epochs = r.vector("trace_epochs")
         trace_losses = r.vector("trace_losses")
+        if trace_losses.shape != trace_epochs.shape:
+            raise ModelFormatError(
+                f"vector trace_losses has {trace_losses.shape[0]} entries for "
+                f"{trace_epochs.shape[0]} trace epochs"
+            )
         if r.next_line() != "inner":
             raise ModelFormatError("expected 'inner' section")
         inner = _read_gp(r)
+        if inner.dim != W.shape[0]:
+            raise ModelFormatError(
+                f"inner design has {inner.dim} columns for {W.shape[0]} rows of W"
+            )
         trace = tuple(
             (int(e), float(l)) for e, l in zip(trace_epochs, trace_losses)
         )

@@ -6,8 +6,12 @@ output files can be checked directly.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from ppgp import ModelSpec, by_name, cli, dumps_model, halton, load_model, make_model
+from ppgp import (ModelSpec, by_name, cli, dumps_model, halton, load_model, make_model,
+                  save_model)
 from ppgp.evaluation import _experiment_seeds
 
 
@@ -97,6 +101,14 @@ class TestConfigResolution:
         rc = cli.main(["design", "--config", "/nonexistent/run.cfg"])
         assert rc == 1
         assert "cannot read" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        """A config file saved as UTF-8 with BOM reads its first key."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("generator=halton\nn=4\nd=2\n", encoding="utf-8-sig")
+        out = tmp_path / "design.csv"
+        assert cli.main(["design", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(_body_lines(out)) == 5
 
     def test_bad_value_type(self, capsys):
         rc = cli.main(["design", "--generator", "halton", "--n", "four",
@@ -233,6 +245,30 @@ class TestFitPredict:
             err = capsys.readouterr().err
             assert where in err and "unit cube" in err
             assert not pred_path.exists()
+
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path, served):
+        """A headerless points file saved as UTF-8 with BOM keeps all its
+        rows: the mark is not part of the first cell."""
+        model_path, points_path = served
+        points_path.write_text("0.1,0.2\n0.3,0.4\n0.5,0.6\n", encoding="utf-8-sig")
+        assert cli._read_points_csv(str(points_path)).tolist() == [
+            [0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]
+        pred_path = tmp_path / "pred.csv"
+        assert cli.main(["predict", "--model", str(model_path),
+                         "--points", str(points_path), "--out", str(pred_path)]) == 0
+        assert len(_body_lines(pred_path)) == 4  # header + three predictions
+
+    def test_misshapen_model_file_is_usage_error(self, tmp_path, served, capsys):
+        """An alpha shorter than the design is rejected when the file is
+        read, not left to fail inside predict."""
+        model_path, points_path = served
+        lines = model_path.read_text(encoding="ascii").splitlines()
+        i = lines.index("vector alpha 12")
+        lines[i:i + 2] = ["vector alpha 11", lines[i + 1].rsplit(" ", 1)[0]]
+        model_path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        rc = cli.main(["predict", "--model", str(model_path), "--points", str(points_path)])
+        assert rc == 1
+        assert "error: vector alpha has 11 entries for 12 design rows" in capsys.readouterr().err
 
     def test_predict_missing_model_file(self, tmp_path, capsys):
         points_path = tmp_path / "points.csv"
@@ -540,3 +576,51 @@ class TestRejectedValues:
         text = " ".join(capsys.readouterr().out.split())
         assert "0 disables early stop (default 0.04)" in text
         assert "gp-iso | gp-pro | gp-add | ppgpr (default ppgpr)" in text
+
+
+@pytest.fixture(scope="module")
+def small_ppgpr(tmp_path_factory):
+    """A 2-input ppgpr model, in memory and saved, and a scratch directory."""
+    U = halton(10, 2).points
+    model = make_model(ModelSpec("ppgpr", eta=1e-8, epochs=3), U,
+                       by_name("xy-plus-x2").eval_unit(U), weight_seed=0)
+    workdir = tmp_path_factory.mktemp("round-trip")
+    save_model(model, workdir / "model.txt")
+    return model, workdir
+
+
+@st.composite
+def _points_files(draw):
+    """Unit-cube points, and a points file holding them in ``repr``, with an
+    optional header, '#' and blank lines, BOM and CRLF line ends."""
+    m = draw(st.integers(1, 6))
+    pts = draw(hnp.arrays(np.float64, (m, 2), elements=st.floats(0.0, 1.0)))
+    filler = st.lists(st.sampled_from(["", "   ", "# a comment"]), max_size=2)
+    lines = draw(filler)
+    if draw(st.booleans()):
+        lines.append("x1,x2")
+    for row in pts:
+        lines.append(",".join(repr(float(v)) for v in row))
+        lines += draw(filler)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(line + newline for line in lines)
+    return pts, text, draw(st.sampled_from(["utf-8", "utf-8-sig"]))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(case=_points_files())
+def test_points_file_round_trips_through_predict(small_ppgpr, case):
+    """`ppgp predict` echoes every point as the same double and predicts
+    each bit for bit as the in-memory model does."""
+    model, workdir = small_ppgpr
+    pts, text, encoding = case
+    points_path, pred_path = workdir / "points.csv", workdir / "pred.csv"
+    points_path.write_bytes(text.encode(encoding))
+    assert cli.main(["predict", "--model", str(workdir / "model.txt"),
+                     "--points", str(points_path), "--out", str(pred_path)]) == 0
+    header, *rows = _body_lines(pred_path)
+    assert header == "x1,x2,prediction"
+    out = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert out.shape == (pts.shape[0], 3)
+    assert out[:, :2].tobytes() == pts.tobytes()
+    assert out[:, 2].tobytes() == model.predict(pts).tobytes()

@@ -107,13 +107,15 @@ class TestPpgprRoundTrip:
         assert back.config == model.config
 
 
-def _small_ppgpr():
+def _small_ppgpr(M=4):
     X, Y = _borehole_data(12)
-    cfg = TrainConfig(eta=1e-8, epochs=3, M=4, seed=1, early_stop_rel=0.0)
+    cfg = TrainConfig(eta=1e-8, epochs=3, M=M, seed=1, early_stop_rel=0.0)
     return train(X, Y, matern(2.5, 1.0), cfg)
 
 
 _PPGPR = _small_ppgpr()
+# a file's M must match the rows of its W, so M is drawn from these models
+_PPGPR_BY_M = {M: _small_ppgpr(M) for M in (1, 2, 3)} | {4: _PPGPR}
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 
@@ -121,14 +123,14 @@ _non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 @settings(max_examples=200, deadline=None, database=None)
 @given(
     eta=_non_negative, early_stop_rel=_finite, nugget=_non_negative,
-    epochs=st.integers(1, 2**62), M=st.integers(1, 2**62),
+    epochs=st.integers(1, 2**62), M=st.sampled_from(sorted(_PPGPR_BY_M)),
     seed=st.integers(0, 2**64 - 1), center=st.booleans(),
 )
 def test_train_config_round_trips(eta, early_stop_rel, nugget, epochs, M, seed, center):
     """Every TrainConfig field survives dumps/loads exactly."""
     cfg = TrainConfig(eta=eta, epochs=epochs, M=M, early_stop_rel=early_stop_rel,
                       seed=seed, nugget=nugget, center=center)
-    model = dataclasses.replace(_PPGPR, config=cfg)
+    model = dataclasses.replace(_PPGPR_BY_M[M], config=cfg)
     assert loads_model(dumps_model(model)).config == cfg
 
 
@@ -214,6 +216,54 @@ class TestMalformedNumbers:
         text = _replace_line(dumps_model(_PPGPR), "phi", "-1.0")
         with pytest.raises(DomainError):
             loads_model(text)
+
+
+def _shrink_vector(text, name):
+    """Drop the last entry of vector ``name``, header included."""
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"vector {name} "))
+    lines[i] = f"vector {name} {int(lines[i].split()[2]) - 1}"
+    lines[i + 1] = lines[i + 1].rsplit(" ", 1)[0]
+    return "\n".join(lines) + "\n"
+
+
+def _drop_matrix_row(text, name):
+    """Drop the last row of matrix ``name``, header included."""
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"matrix {name} "))
+    _, _, rows, cols = lines[i].split()
+    lines[i] = f"matrix {name} {int(rows) - 1} {cols}"
+    del lines[i + int(rows)]
+    return "\n".join(lines) + "\n"
+
+
+class TestArrayShapes:
+    """Arrays whose shapes disagree with the design, or with W and the
+    config, are a ModelFormatError at load time, not a failure in predict."""
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda t: _shrink_vector(t, "responses"), "responses has 11 entries for 12"),
+        (lambda t: _shrink_vector(t, "alpha"), "alpha has 11 entries for 12"),
+        (lambda t: _drop_matrix_row(t, "chol"), "chol is 11x12, expected 12x12"),
+        (lambda t: _replace_line(t, "M", "3"), "W has 4 rows, config M is 3"),
+        (lambda t: _replace_line(_drop_matrix_row(t, "W"), "M", "3"),
+         "inner design has 4 columns for 3 rows of W"),
+        (lambda t: _shrink_vector(t, "trace_losses"),
+         "trace_losses has 3 entries for 4 trace epochs"),
+    ], ids=["responses", "alpha", "chol", "W-vs-M", "inner-vs-W", "trace"])
+    def test_ppgpr_shape_mismatch_rejected(self, corrupt, match):
+        text = corrupt(dumps_model(_PPGPR))
+        with pytest.raises(ModelFormatError, match=match):
+            loads_model(text)
+
+    def test_gp_shape_mismatch_rejected(self):
+        X, Y = _borehole_data(10)
+        kernel = MultivariateKernel(base=matern(2.5, 1.0), structure="product", dim=8)
+        text = dumps_model(fit(X, Y, kernel))
+        with pytest.raises(ModelFormatError, match="alpha has 9 entries for 10"):
+            loads_model(_shrink_vector(text, "alpha"))
+        # the unedited file still loads
+        assert dumps_model(loads_model(text)) == text
 
 
 class TestFileAndErrors:

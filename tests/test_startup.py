@@ -1,0 +1,89 @@
+"""SciPy stays unloaded until a command factors a matrix or evaluates a
+Bessel function.
+
+Each check starts a fresh interpreter, as every ``ppgp`` call does, and
+reads ``sys.modules`` after running commands through ``cli.main``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ppgp
+from ppgp import cli
+
+_SRC = str(Path(ppgp.__file__).resolve().parents[1])
+
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+_SERVE = f"""
+import json, sys
+from ppgp import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps({_SCIPY_LOADED}))
+"""
+
+_TRAIN = f"""
+import json, sys
+import numpy as np
+from ppgp import cli, matern
+loaded = {{"import": {_SCIPY_LOADED}}}
+assert cli.main(json.loads(sys.argv[1])) == 0
+loaded["fit"] = {_SCIPY_LOADED}
+matern(1.2, 1.0)(np.array([0.3]))
+loaded["general nu"] = {_SCIPY_LOADED}
+print(json.dumps(loaded))
+"""
+
+
+def _fresh(script, argv):
+    """Run ``script`` in a new interpreter that imports this ppgp; returns
+    its JSON output."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=_SRC if not path else _SRC + os.pathsep + path)
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A 2-input ppgpr model file and a points file."""
+    workdir = tmp_path_factory.mktemp("startup")
+    model, points = workdir / "model.txt", workdir / "points.csv"
+    assert cli.main(["fit", "--function", "xy-plus-x2", "--n-train", "8", "--epochs", "2",
+                     "--model-out", str(model), "--out", str(workdir / "fit.csv")]) == 0
+    points.write_text("x1,x2\n0.1,0.2\n0.3,0.4\n")
+    return workdir, model, points
+
+
+def test_serving_commands_load_no_scipy(files):
+    """Import, --help, predict and eval-grid, with and without a model."""
+    workdir, model, points = files
+    out = str(workdir / "out.csv")
+    loaded = _fresh(_SERVE, [
+        ["--help"],
+        ["predict", "--model", str(model), "--points", str(points), "--out", out],
+        ["eval-grid", "--function", "xy-plus-x2", "--resolution", "3", "--out", out],
+        ["eval-grid", "--function", "xy-plus-x2", "--resolution", "3",
+         "--model", str(model), "--out", out],
+    ])
+    assert loaded == []
+
+
+def test_scipy_loads_at_first_use(files):
+    """A fit loads scipy.linalg at its first solve; only a Matérn kernel of
+    general smoothness loads scipy.special."""
+    workdir, _, _ = files
+    loaded = _fresh(_TRAIN, [
+        "fit", "--function", "xy-plus-x2", "--n-train", "8", "--epochs", "2",
+        "--model-out", str(workdir / "fresh.txt"), "--out", str(workdir / "fit2.csv")])
+    assert loaded["import"] == []
+    assert "scipy.linalg" in loaded["fit"]
+    assert "scipy.special" not in loaded["fit"]
+    assert "scipy.special" in loaded["general nu"]
