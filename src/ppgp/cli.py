@@ -15,7 +15,7 @@ Unknown keys are rejected with the list of valid keys, missing required
 keys with an example snippet.
 
 All output is CSV.  Comment lines (``# ...``) record the resolved
-configuration, the master seed, and the subcommand's wall-clock time
+configuration (the seed among them) and the subcommand's wall-clock time
 (``# wall_ms=``); the body below them is deterministic, so identical
 configs produce byte-identical bodies.  The ``# config key=value`` lines,
 written to a file without their ``# config`` prefix, replay the run
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +119,13 @@ def _parse_kernels(raw: str) -> tuple:
 
 
 def _items(parse):
-    """Parser of a comma-separated list whose items ``parse`` reads."""
-    return lambda raw: tuple(parse(x.strip()) for x in raw.split(",") if x.strip() != "")
+    """Parser of a non-empty comma-separated list whose items ``parse`` reads."""
+    def read(raw: str) -> tuple:
+        items = tuple(parse(x.strip()) for x in raw.split(",") if x.strip() != "")
+        if not items:
+            raise ValueError("expected at least one item")
+        return items
+    return read
 
 
 def _joined(render, sep=","):
@@ -146,12 +152,14 @@ def _spec_key(name: str, kind: str, help: str = "") -> Key:
     return Key(name, kind, default=_KINDS[kind][1](getattr(ModelSpec, name)), help=help)
 
 
+_NODE_COUNT_HELP = "defaults to min(n_train-5, 5d)"
+_N_TRAIN_KEY = Key("n_train", "int", example="n_train=40", help="defaults to 5 d")
 # each is a ModelSpec field of the same name
 _KERNEL_KEYS = [_spec_key("family", "str"), _spec_key("nu", "float"), _spec_key("phi", "float")]
 _TRAIN_KEYS = [
     _spec_key("eta", "float"),
     _spec_key("epochs", "int"),
-    Key("M", "int", example="M=35", help="defaults to min(n_train-5, 5d)"),
+    Key("M", "int", example="M=35", help=_NODE_COUNT_HELP),
     _spec_key("early_stop_rel", "float",
               help="10-epoch relative-improvement threshold; 0 disables early stop"),
     _spec_key("nugget", "float"),
@@ -173,7 +181,7 @@ SUBCOMMANDS: dict[str, list[Key]] = {
     "fit": [
         Key("function", "str", required=True, example="function=borehole"),
         Key("method", "str", default="ppgpr", help=" | ".join(METHODS)),
-        Key("n_train", "int", example="n_train=40", help="defaults to 5 d"),
+        _N_TRAIN_KEY,
         *_MODEL_KEYS,
         Key("seed", "int", default="0"),
         Key("model_out", "str", required=True, example="model_out=model.txt"),
@@ -199,18 +207,18 @@ SUBCOMMANDS: dict[str, list[Key]] = {
         Key("methods", "strs", required=True,
             example="methods=gp-iso,gp-pro,ppgpr"),
         Key("seeds", "ints", default="0", example="seeds=0,1,2"),
-        Key("n_train", "int", example="n_train=40", help="defaults to 5 d"),
+        _N_TRAIN_KEY,
         *_MODEL_KEYS,
         Key("out", "str", example="out=table.csv"),
     ],
     "tune": [
         Key("function", "str", required=True, example="function=borehole"),
-        Key("n_train", "int", example="n_train=40", help="defaults to 5 d"),
+        _N_TRAIN_KEY,
         Key("etas", "floats", default="1e-7,1e-8,1e-9,1e-10"),
-        Key("Ms", "ints", example="Ms=35", help="defaults to min(n_train-5, 5d)"),
-        Key("kernels", "kernels", default="matern:2.5:1.0",
+        Key("Ms", "ints", example="Ms=35", help=_NODE_COUNT_HELP),
+        Key("kernels", "kernels", default=_KINDS["kernels"][1](TuneGrid.kernels),
             example="kernels=matern:2.5:1.0;gaussian:-:0.5"),
-        Key("folds", "int", default="5"),
+        Key("folds", "int", default=_KINDS["int"][1](TuneGrid.folds)),
         *_TUNE_TRAIN_KEYS,
         Key("seed", "int", default="0"),
         Key("out", "str", example="out=tune.csv"),
@@ -222,26 +230,30 @@ SUBCOMMANDS: dict[str, list[Key]] = {
         Key("n_list", "ints", default="10,20,40,80"),
         Key("trials", "int", default="0", example="trials=2",
             help="prior draws per n; 0 skips the sup-error column"),
-        Key("nugget", "float", default="1e-10"),
+        Key("nugget", "float", default=_KINDS["float"][1](ratecheck.THEORY_NUGGET)),
         Key("seed", "int", default="0"),
         Key("out", "str", example="out=rates.csv"),
     ],
 }
 
 
+def _text_lines(path: str, what: str) -> Iterator[tuple[int, str]]:
+    """(number, stripped text) of each non-blank, non-``#`` line of a UTF-8
+    input file; a leading byte-order mark is dropped, not read as text."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from None
+    stripped = (line.strip() for line in lines)
+    return ((i, s) for i, s in enumerate(stripped, start=1) if s and not s.startswith("#"))
+
+
 def load_config_file(path: str) -> dict[str, str]:
     """Parse a key=value config file; '#' starts a comment line, and a
     leading byte-order mark is ignored."""
     out: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in _text_lines(path, "config file"):
         if "=" not in stripped:
             raise ConfigError(
                 f"{path}:{lineno}: expected key=value, got {stripped!r}"
@@ -284,10 +296,6 @@ def _header_comments(sub: str, cfg: dict) -> list[str]:
     for key in sorted(SUBCOMMANDS[sub], key=lambda k: k.name):
         if cfg[key.name] is not None:
             lines.append(f"# config {key.name}={_KINDS[key.kind][1](cfg[key.name])}")
-    if cfg.get("seed") is not None:
-        lines.append(f"# master seed={cfg['seed']}")
-    elif cfg.get("seeds") is not None:
-        lines.append(f"# master seeds={_KINDS['ints'][1](cfg['seeds'])}")
     return lines
 
 
@@ -306,18 +314,8 @@ def _write_text(path: str, text: str) -> None:
 
 def _read_points_csv(path: str) -> np.ndarray:
     rows = []
-    try:
-        # utf-8-sig drops a byte-order mark, which would otherwise turn the
-        # first cell into a non-number and a headerless first row into a header
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read points file {path!r}: {exc}") from None
     header_allowed = True
-    for number, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for number, stripped in _text_lines(path, "points file"):
         try:
             rows.append([float(f) for f in stripped.split(",")])
         except ValueError:

@@ -17,8 +17,7 @@ set.  Every route to a model goes through that pair: ``run_experiment``,
 training design of size 5 d (unless overridden), 500 seeded
 uniform-random test points, weights seeded from the same master seed.
 Its :class:`ExperimentReport`, one per ``benchmark_table`` row, carries
-in ``spec`` the :class:`ModelSpec` as built: the kernel's own ``nu``
-(None for a Gaussian) and, for ``ppgpr``, the resolved node count ``M``.
+in ``spec`` the :class:`ModelSpec` with ``ppgpr``'s resolved node count.
 """
 
 from __future__ import annotations
@@ -63,7 +62,8 @@ class ModelSpec:
     ``M=None`` means :func:`default_node_count` of the training set.  The
     GP methods use only the kernel, ``nugget`` and ``center``; ``eta``,
     ``epochs``, ``M`` and ``early_stop_rel`` (0 disables early stopping)
-    train the projection-pursuit weights.
+    train the projection-pursuit weights.  :class:`Kernel1d` checks the
+    kernel when the spec is made; ``nu`` is its own (None for a Gaussian).
     """
 
     method: str
@@ -82,6 +82,7 @@ class ModelSpec:
             raise ConfigError(
                 f"unknown method {self.method!r}; valid: {', '.join(METHODS)}"
             )
+        object.__setattr__(self, "nu", Kernel1d(self.family, self.nu, self.phi).nu)
 
 
 def make_model(spec: ModelSpec, U: np.ndarray, Y: np.ndarray,
@@ -144,8 +145,7 @@ def _safe_rmse(pred, truth) -> float:
 class ExperimentReport:
     """One (spec, function, seed) evaluation, mirroring a results-table row.
 
-    ``spec`` is the surrogate as built: the kernel's own ``nu`` (None for
-    a Gaussian) and, for ``ppgpr``, the resolved node count ``M``.
+    ``spec`` is the surrogate as built, with ``ppgpr``'s resolved ``M``.
     """
 
     spec: ModelSpec
@@ -203,11 +203,8 @@ def _experiment(spec: ModelSpec, function: str, n_train: int | None,
     model = make_model(spec, U_train, Y_train, weight_seed)
     pred = model.predict(U_test)
     ppgpr = isinstance(model, PpgprModel)
-    # the built kernel's nu, which is None for a Gaussian whatever spec.nu says
-    built = replace(spec, nu=(model.inner if ppgpr else model).kernel.base.nu,
-                    M=model.M if ppgpr else spec.M)
     return ExperimentReport(
-        spec=built,
+        spec=replace(spec, M=model.M) if ppgpr else spec,
         function=function,
         n_train=U_train.shape[0],
         n_test=n_test,
@@ -229,7 +226,7 @@ class TuneGrid:
 
     etas: tuple
     Ms: tuple
-    kernels: tuple = (("matern", 2.5, 1.0),)
+    kernels: tuple = ((ModelSpec.family, ModelSpec.nu, ModelSpec.phi),)
     folds: int = 5
 
     def __post_init__(self):
@@ -270,7 +267,9 @@ def cross_validate(
     held-out RMSE (relative, absolute fallback on exact zeros).  The best
     point (``eta``, ``M``, ``kernel`` and ``mean_rmse``) minimizes the mean
     fold RMSE, ties broken as :class:`TuneGrid` says.  Rows and best point
-    carry the built kernel's ``nu``, which is None for a Gaussian.
+    carry the spec's ``nu``, which is None for a Gaussian.  A fold whose
+    training fails scores ``inf``; if every grid point has one, a
+    ``TrainingError`` says how many folds failed.
     """
     clash = sorted(set(hyper) & set(_GRID_FIELDS))
     if clash:
@@ -287,8 +286,8 @@ def cross_validate(
     best, best_key = None, None
     points = product(grid.kernels, grid.Ms, enumerate(grid.etas))
     for gi, ((family, nu, phi), M, (ei, eta)) in enumerate(points):
-        nu = Kernel1d(family, nu, phi).nu
         point_spec = replace(spec, family=family, nu=nu, phi=phi, eta=eta, M=M)
+        nu = point_spec.nu
         fold_scores = []
         for fi, hold in enumerate(folds):
             train_idx = np.setdiff1d(all_idx, hold)
@@ -310,6 +309,10 @@ def cross_validate(
             best_key = key
             best = {"eta": eta, "M": M, "kernel": (family, nu, phi),
                     "mean_rmse": mean_score}
+    if not np.isfinite(best["mean_rmse"]):
+        failed = sum(np.isinf(row["rmse"]) for row in table)
+        raise TrainingError(f"every grid point has a failed fold: {failed} of "
+                            f"{len(table)} folds failed to train")
     return best, table
 
 

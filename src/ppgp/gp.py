@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitError, SingularMatrixError
+from .errors import FitError, PpgpError, SingularMatrixError
 from .kernels import MultivariateKernel
 from .linalg import CholFactor, cholesky_with_jitter, logdet, solve_spd
 
@@ -77,6 +77,22 @@ class GpModel:
         return float(yc @ self.alpha + logdet(self.chol))
 
 
+def _training_data(design, responses, error: type[PpgpError]):
+    """``design`` (n x d) and ``responses`` (n) as float arrays; raises
+    ``error`` unless n >= 2, the lengths agree and every entry is finite."""
+    X = np.atleast_2d(np.asarray(design, dtype=float))
+    y = np.asarray(responses, dtype=float).reshape(-1)
+    if len(X) < 2:
+        raise error(f"need at least 2 observations, got {len(X)}")
+    if len(y) != len(X):
+        raise error(f"got {len(X)} design rows but {len(y)} responses")
+    if not np.isfinite(X).all():
+        raise error("design contains non-finite entries")
+    if not np.isfinite(y).all():
+        raise error("responses contain non-finite entries")
+    return X, y
+
+
 def fit(
     design: np.ndarray,
     responses: np.ndarray,
@@ -104,17 +120,8 @@ def fit(
         Subtract the response mean before fitting and add it back at
         prediction.  Disable for data that is already mean zero.
     """
-    X = np.atleast_2d(np.asarray(design, dtype=float))
-    y = np.asarray(responses, dtype=float).reshape(-1)
+    X, y = _training_data(design, responses, FitError)
     n, d = X.shape
-    if n < 2:
-        raise FitError(f"need at least 2 observations, got {n}")
-    if y.shape[0] != n:
-        raise FitError(f"got {n} design rows but {y.shape[0]} responses")
-    if not np.all(np.isfinite(X)):
-        raise FitError("design contains non-finite entries")
-    if not np.all(np.isfinite(y)):
-        raise FitError("responses contain non-finite entries")
     if kernel.dim != d:
         raise FitError(f"kernel dim {kernel.dim} does not match design dim {d}")
     if validate_unit_cube and (X.min() < 0.0 or X.max() > 1.0):

@@ -79,6 +79,14 @@ def _gaussian_at(t, phi):
     return val
 
 
+def _finite_lags(t) -> np.ndarray:
+    """``t`` as a float array; a lag that is not finite is a domain error."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise DomainError("kernel lag must be finite")
+    return t
+
+
 def _matern_at(nu, s, e=None):
     """Matérn correlation of smoothness ``nu`` at scaled distance ``s >= 0``.
 
@@ -149,7 +157,13 @@ class Kernel1d:
     @property
     def differentiable(self) -> bool:
         """Whether :meth:`value_and_derivative` is available for this kernel."""
-        return self.family == "gaussian" or (self.nu is not None and self.nu > 1)
+        return self.family == "gaussian" or self.nu > 1
+
+    def _scaled(self, t):
+        """Matérn's ``s = 2 sqrt(nu) phi |t|``, under the caller's errstate."""
+        s = np.abs(t)
+        s *= 2.0 * np.sqrt(self.nu) * self.phi
+        return s
 
     def __call__(self, t):
         """Evaluate the correlation at lag(s) ``t``.
@@ -157,16 +171,12 @@ class Kernel1d:
         Accepts scalars or arrays; returns the same shape.  Values lie in
         ``[0, 1]`` with ``k(0) = 1`` exactly.
         """
-        t = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(t)):
-            raise DomainError("kernel lag must be finite")
+        t = _finite_lags(t)
         if self.family == "gaussian":
             out = _gaussian_at(t, self.phi)
         else:
             with np.errstate(invalid="ignore", over="ignore"):
-                s = np.abs(t)
-                s *= 2.0 * np.sqrt(self.nu) * self.phi
-                out = _matern_at(self.nu, s)
+                out = _matern_at(self.nu, self._scaled(t))
         return out if out.ndim else float(out)
 
     def value_and_derivative(self, t):
@@ -179,12 +189,10 @@ class Kernel1d:
         evaluates the smoothness ``nu - 1`` correlation at the same scaled
         distance ``s``, so it requires ``nu > 1``.
         """
-        t = np.asarray(t, dtype=float)
+        t = _finite_lags(t)
         if t.ndim == 0:
             val, der = self.value_and_derivative(t.reshape(1))
             return float(val[0]), float(der[0])
-        if not np.all(np.isfinite(t)):
-            raise DomainError("kernel lag must be finite")
         phi = self.phi
         # the temporaries are updated in place: this runs over every lag of
         # a training step
@@ -195,11 +203,10 @@ class Kernel1d:
             der *= val
             return val, der
         nu = self.nu
-        if nu <= 1:
+        if not self.differentiable:
             raise DomainError(f"matern derivative requires nu > 1 (got nu={nu})")
         with np.errstate(invalid="ignore", over="ignore"):
-            s = np.abs(t)
-            s *= 2.0 * np.sqrt(nu) * phi
+            s = self._scaled(t)
             e = None
             if nu in _HALF_INTEGER_POLY or nu - 1.0 in _HALF_INTEGER_POLY:
                 e = np.negative(s)
@@ -214,8 +221,7 @@ class Kernel1d:
         """Derivative of :meth:`__call__` with respect to the lag.
 
         Odd function of ``t``: zero at the origin, negative for ``t > 0``.
-        The second output of :meth:`value_and_derivative`; the Matérn form
-        therefore requires ``nu > 1``.
+        The second output of :meth:`value_and_derivative`.
         """
         return self.value_and_derivative(t)[1]
 

@@ -37,7 +37,9 @@ alone, so they are built once per n and cached, read-only, for the last
 Within an epoch every row is updated from the same factorization
 (Jacobi-style); the returned model is the one at the best-loss epoch, not
 the last, and training stops early once the relative loss improvement
-over a 10-epoch window falls below a threshold.
+over a 10-epoch window falls below a threshold.  Divergence has one path:
+a ``SingularMatrixError`` from :func:`loss_and_gradient`, whose causes
+include an objective that is not finite.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError, TrainingError
-from .gp import DEFAULT_NUGGET, GpModel, fit
+from .gp import DEFAULT_NUGGET, GpModel, _training_data, fit
 from .kernels import Kernel1d, MultivariateKernel
 from .linalg import cholesky_with_jitter, inverse_spd, logdet, solve_spd
 
@@ -179,8 +181,9 @@ def loss_and_gradient(
     Raises ``DomainError`` for kernels without a usable derivative (Matérn
     needs nu > 1) and for a ``Y`` that is not one finite response per row
     of ``X``, and ``SingularMatrixError``, which :func:`train` treats
-    as divergence, when the weights or the projected lags are not finite or
-    the correlation matrix cannot be factored.
+    as divergence, when the weights, the projected lags or the objective
+    are not finite or the correlation matrix cannot be factored.  The
+    objective is checked before the gradient, so it raises with no warning.
     """
     if not kernel1d.differentiable:
         raise DomainError(
@@ -231,7 +234,10 @@ def loss_and_gradient(
 
     chol = cholesky_with_jitter(K, nugget)
     alpha = solve_spd(chol, Y)
-    loss = float(Y @ alpha + logdet(chol))
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = float(Y @ alpha + logdet(chol))
+    if not math.isfinite(loss):
+        raise SingularMatrixError(f"objective is not finite ({loss!r})")
 
     # B = K^-1 - alpha alpha^T contracts against dK/dw_k; k' is odd, so
     # the pairs (i, j) and (j, i) share the weight (B[i,j] + B[j,i]) / M
@@ -260,22 +266,15 @@ def train(
     Runs at most ``cfg.epochs`` full-gradient steps, recording the loss at
     every visited weight matrix (epoch 0 is the initial one).  Stops early
     when the relative improvement over the trailing 10-epoch window drops
-    below ``cfg.early_stop_rel``.  A non-finite loss aborts the loop and
-    falls back to the best weights seen so far (flagged ``diverged``).
+    below ``cfg.early_stop_rel``.  A ``SingularMatrixError`` from
+    :func:`loss_and_gradient` (a non-finite objective among its causes) is
+    divergence: the loop falls back to the best weights seen so far
+    (flagged ``diverged``), or at epoch 0 raises ``TrainingError``.
 
     Returns the model refitted at the best-loss epoch.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.asarray(Y, dtype=float).reshape(-1)
-    n, d = X.shape
-    if n < 2:
-        raise TrainingError(f"need at least 2 observations, got {n}")
-    if Y.shape[0] != n:
-        raise TrainingError(f"got {n} design rows but {Y.shape[0]} responses")
-    if not np.isfinite(X).all():
-        raise TrainingError("design contains non-finite entries")
-    if not np.isfinite(Y).all():
-        raise TrainingError("responses contain non-finite entries")
+    X, Y = _training_data(X, Y, TrainingError)
+    d = X.shape[1]
 
     W = init_weights(d, cfg.M, cfg.seed) if W0 is None else np.array(W0, dtype=float)
     if W.shape != (cfg.M, d):
@@ -293,10 +292,9 @@ def train(
     for epoch in range(cfg.epochs + 1):
         try:
             loss, grad = loss_and_gradient(W, X, yc, kernel1d, cfg.nugget)
-        except SingularMatrixError:
-            diverged = True
-            break
-        if not np.isfinite(loss):
+        except SingularMatrixError as exc:
+            if epoch == 0:
+                raise TrainingError(f"the initial weights give no finite loss: {exc}") from exc
             diverged = True
             break
         trace.append((epoch, loss))
@@ -308,12 +306,6 @@ def train(
                 break
         if epoch < cfg.epochs:
             W = W - cfg.eta * grad
-
-    if not np.isfinite(best_loss):
-        raise TrainingError(
-            "training diverged before producing any finite loss; "
-            "try a smaller learning rate eta"
-        )
 
     inner = fit(
         transform(best_W, X),

@@ -105,13 +105,16 @@ def sup_error_curve(
     (deterministic) grid maximum of the predictive standard deviation
     P(x), and the average over ``trials`` exact prior draws of the
     sup-norm prediction error on the grid.  ``trials=0`` skips the draws
-    (sup_err reported as nan).
+    (sup_err reported as nan).  ``d`` must lie in 1..3 and every n be at
+    least 2.
     """
-    if d > 3:
-        raise DomainError(f"rate checks support d <= 3, got {d}")
+    if not 1 <= d <= 3:
+        raise DomainError(f"rate checks support 1 <= d <= 3, got {d}")
     if grid_budget > _MAX_GRID:
         raise DomainError(f"grid budget capped at {_MAX_GRID}")
     n_list = [int(n) for n in n_list]
+    if min(n_list, default=2) < 2:
+        raise DomainError(f"rate checks need designs of at least 2 points, got {n_list}")
     grid = _grid(d, grid_budget)
     kernel = MultivariateKernel(base=matern(nu), structure=structure, dim=d)
 

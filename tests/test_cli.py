@@ -110,6 +110,16 @@ class TestConfigResolution:
         assert cli.main(["design", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(_body_lines(out)) == 5
 
+    def test_file_that_is_not_utf8_is_usage_error(self, tmp_path, served, capsys):
+        """A config or points file with a byte that is not UTF-8 exits 1."""
+        model_path, _ = served
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"generator=halton\n0.5,0.5\xff\n")
+        assert cli.main(["design", "--config", str(bad)]) == 1
+        assert "cannot read config file" in capsys.readouterr().err
+        assert cli.main(["predict", "--model", str(model_path), "--points", str(bad)]) == 1
+        assert "cannot read points file" in capsys.readouterr().err
+
     def test_bad_value_type(self, capsys):
         rc = cli.main(["design", "--generator", "halton", "--n", "four",
                        "--d", "1"])
@@ -389,6 +399,15 @@ class TestTune:
         assert float(best_cells[2]) == 1e-8
         assert int(best_cells[3]) == 4
 
+    def test_no_trainable_grid_point_exits_two(self, tmp_path, capsys):
+        """Every grid point has a fold trained on one point: no best row."""
+        out = tmp_path / "tune.csv"
+        rc = cli.main(["tune", "--function", "xy-plus-x2", "--n-train", "3",
+                       "--folds", "2", "--epochs", "2", "--out", str(out)])
+        assert rc == 2
+        assert "4 of 8 folds failed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gaussian_nu_cell_is_empty(self, tmp_path):
         """Fold and best rows carry the built kernel's nu, None for a Gaussian."""
         out = tmp_path / "tune.csv"
@@ -419,6 +438,10 @@ class TestTheoryCheck:
     def test_dimension_cap_is_usage_error(self, capsys):
         rc = cli.main(["theory-check", "--d", "4", "--n-list", "8,16"])
         assert rc == 1
+        assert cli.main(["theory-check", "--d", "0", "--n-list", "8,16"]) == 1
+        assert "1 <= d <= 3" in capsys.readouterr().err
+        assert cli.main(["theory-check", "--d", "1", "--n-list", "1,4"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestExitCodes:
@@ -495,6 +518,10 @@ class TestConfigReplay:
         assert _config_lines(again) == [
             l.replace(str(first), str(again)) for l in _config_lines(first)]
         assert first.read_text(encoding="utf-8").count("\n# wall_ms=") == 1
+        # a seed is recorded once, as a config line like every other key
+        text = first.read_text(encoding="utf-8")
+        assert "\n# master" not in text
+        assert argv[0] in ("predict", "eval-grid") or "\n# config seed" in text
 
 
 class TestOutputPaths:
@@ -569,6 +596,18 @@ class TestRejectedValues:
         rc = cli.main(argv + ["--epochs", "2", "--out", str(tmp_path / "out.csv")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["bench-table", "--functions", "xy-plus-x2", "--methods", "gp-iso",
+         "--seeds", ","],
+        ["bench-table", "--functions", ",", "--methods", "gp-iso"],
+        ["bench-table", "--functions", "xy-plus-x2", "--methods", " , "],
+        ["theory-check", "--structures", ","],
+    ], ids=["bench-seeds", "bench-functions", "bench-methods", "theory-structures"])
+    def test_empty_list_is_usage_error(self, tmp_path, capsys, argv):
+        assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+        assert "expected at least one item" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
     def test_help_shows_defaults_next_to_help_text(self, capsys):

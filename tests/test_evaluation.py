@@ -5,11 +5,13 @@ import pytest
 
 from ppgp import (
     ConfigError,
+    DomainError,
     GpModel,
     MetricError,
     ModelSpec,
     PpgprModel,
     TrainConfig,
+    TrainingError,
     TuneGrid,
     by_name,
     cross_validate,
@@ -190,6 +192,14 @@ class TestCrossValidate:
         assert [r["rmse"] for r in table[:2]] == [r["rmse"] for r in table[2:]]
         assert best["eta"] == etas[0]
 
+    def test_every_grid_point_with_a_failed_fold_is_a_training_error(self):
+        """With 3 points and 2 folds one fold trains on a single point, so
+        every grid point has an infinite mean RMSE: no best point exists."""
+        X, Y = self._borehole_data(3)
+        grid = TuneGrid(etas=(1e-7, 1e-8), Ms=(1,), folds=2)
+        with pytest.raises(TrainingError, match="2 of 4 folds failed"):
+            cross_validate(X, Y, grid, seed=0, epochs=2)
+
     def test_too_many_folds_rejected(self):
         X, Y = self._borehole_data(4)
         grid = TuneGrid(etas=(1e-8,), Ms=(5,), folds=5)
@@ -206,6 +216,16 @@ class TestModelSpec:
         assert spec.nugget == TrainConfig.nugget
         assert spec.center == TrainConfig.center
         assert spec.M is None
+
+    def test_kernel_is_checked_when_the_spec_is_made(self):
+        """The spec's nu is the kernel's own: None for a Gaussian, and a bad
+        family, nu or phi is rejected on construction, not at fit time."""
+        assert ModelSpec("gp-iso", family="gaussian").nu is None
+        assert ModelSpec("ppgpr", family="gaussian", nu=1.5).nu is None
+        assert ModelSpec("ppgpr", nu=1.5).nu == 1.5
+        for bad in ({"family": "foo"}, {"nu": None}, {"nu": -1.0}, {"phi": 0.0}):
+            with pytest.raises(DomainError):
+                ModelSpec("gp-iso", **bad)
 
     def test_factory_builds_each_method(self):
         U = halton(12, 2).points

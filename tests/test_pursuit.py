@@ -407,17 +407,39 @@ class TestTrain:
         assert np.all(np.isfinite(m.predict(X)))
 
     def test_all_epochs_diverged_is_a_training_error(self):
-        """No finite loss at all advises a smaller learning rate.
+        """No finite loss at all names its cause: the initial weights, which
+        no step of eta has touched yet.
 
         With 1.5e308 the weights are finite but the projections overflow.
         """
+        from ppgp import SingularMatrixError
+
         X = halton(8, 2).points
         Y = X[:, 0] + X[:, 1]
         cfg = TrainConfig(eta=1e-8, epochs=5, M=3, seed=0)
         for w in (1e200, 1.5e308):
             with pytest.raises(TrainingError) as exc:
                 train(X, Y, matern(2.5), cfg, W0=np.full((3, 2), w))
-            assert "eta" in str(exc.value)
+            assert "initial weights give no finite loss" in str(exc.value)
+            assert isinstance(exc.value.__cause__, SingularMatrixError)
+            assert str(exc.value.__cause__) in str(exc.value)
+
+    def test_overflowing_objective_is_a_training_error_without_warnings(self):
+        """Responses so large that Y^T alpha overflows stop at the objective,
+        before the gradient, with no floating-point warning on the way."""
+        import warnings
+
+        from ppgp import SingularMatrixError
+
+        X = halton(12, 2).points
+        Y = by_name("xy-plus-x2").eval_unit(X) * 1e200
+        cfg = TrainConfig(eta=1e-8, epochs=5, M=3, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError, match="objective"):
+                loss_and_gradient(init_weights(2, 3, 0), X, Y, matern(2.5))
+            with pytest.raises(TrainingError, match="objective is not finite"):
+                train(X, Y, matern(2.5), cfg)
 
     def test_best_loss_equals_refitted_log_likelihood(self):
         """The pair pass builds the Gram matrix of the refitted GP bit for bit."""

@@ -120,6 +120,12 @@ class TestSupErrorCurve:
         with pytest.raises(DomainError):
             sup_error_curve("additive", 2.5, 4, [10, 20])
 
+    def test_zero_dimensions_or_one_point_rejected(self):
+        with pytest.raises(DomainError, match="1 <= d <= 3"):
+            sup_error_curve("additive", 2.5, 0, [10, 20])
+        with pytest.raises(DomainError, match="at least 2"):
+            sup_error_curve("additive", 2.5, 1, [1, 4])
+
     def test_grid_budget_cap(self):
         with pytest.raises(DomainError):
             sup_error_curve("additive", 2.5, 2, [10, 20], grid_budget=10000)
