@@ -346,8 +346,8 @@ def _run_design(cfg: dict) -> tuple[str, list[str]]:
             f"unknown generator {cfg['generator']!r}; "
             f"valid: {', '.join(designs.GENERATORS)}"
         )
-    design = generate(cfg["n"], cfg["d"], cfg["seed"])
-    return _csv(",".join(f"x{j + 1}" for j in range(design.d)), design.points), []
+    points = generate(cfg["n"], cfg["d"], cfg["seed"]).points
+    return _csv(",".join(f"x{j + 1}" for j in range(points.shape[1])), points), []
 
 
 def _run_fit(cfg: dict) -> tuple[str, list[str]]:

@@ -35,15 +35,13 @@ _PRIMES = (
 
 @dataclass(frozen=True)
 class Design:
-    """An n x d matrix of input sites in [0, 1]^d plus provenance."""
+    """An n x d matrix of input sites in [0, 1]^d, and nothing else.
+
+    The generators return this wrapper only because ``perfbench`` reads
+    ``.points`` from it; every function of the package takes the array.
+    """
 
     points: np.ndarray
-    generator: str
-    seed: int | None = None
-
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
 
 
 def _radical_inverse(i: int, base: int) -> float:
@@ -70,7 +68,7 @@ def halton(n: int, d: int) -> Design:
     for j in range(d):
         base = _PRIMES[j]
         pts[:, j] = [_radical_inverse(i, base) for i in range(1, n + 1)]
-    return Design(points=pts, generator="halton")
+    return Design(points=pts)
 
 
 def randomized_lhs(n: int, d: int, seed: int) -> Design:
@@ -90,7 +88,7 @@ def randomized_lhs(n: int, d: int, seed: int) -> Design:
         perm = rng.permutation(n)
         u = rng.random(n)
         pts[:, j] = (perm + u) / n
-    return Design(points=pts, generator="randomized-lhs", seed=seed)
+    return Design(points=pts)
 
 
 def uniform_random(n: int, d: int, seed: int) -> Design:
@@ -98,7 +96,7 @@ def uniform_random(n: int, d: int, seed: int) -> Design:
     if n < 1 or d < 1:
         raise DomainError("n and d must be at least 1")
     rng = np.random.default_rng(seed)
-    return Design(points=rng.random((n, d)), generator="uniform-random", seed=seed)
+    return Design(points=rng.random((n, d)))
 
 
 # name -> generator(n, d, seed); Halton ignores the seed
@@ -109,8 +107,8 @@ GENERATORS = {
 }
 
 
-def marginal_fill_distance(design: Design, j: int) -> float:
-    """Worst gap of the design's j-th coordinate projection, on a grid.
+def marginal_fill_distance(points: np.ndarray, j: int) -> float:
+    """Worst gap of the n x d design's j-th coordinate projection, on a grid.
 
     Approximates sup over t in [0, 1] of the distance from t to the nearest
     j-th coordinate by maximizing over 10001 equispaced points; the
@@ -118,23 +116,23 @@ def marginal_fill_distance(design: Design, j: int) -> float:
     :func:`marginal_fill_distance_exact`, the closed-form 1-d value, is
     tested against.
     """
-    coords = _check_coord(design, j)
+    coords = _check_coord(points, j)
     ts = np.linspace(0.0, 1.0, 10001)
     dists = np.min(np.abs(ts[:, None] - coords[None, :]), axis=1)
     return float(np.max(dists))
 
 
-def marginal_fill_distance_exact(design: Design, j: int) -> float:
+def marginal_fill_distance_exact(points: np.ndarray, j: int) -> float:
     """Exact sup over [0, 1] of the distance to the nearest j-th coordinate."""
-    coords = np.sort(_check_coord(design, j))
+    coords = np.sort(_check_coord(points, j))
     gaps = [coords[0] - 0.0, 1.0 - coords[-1]]
     if coords.size > 1:
         gaps.append(float(np.max(np.diff(coords))) / 2.0)
     return float(max(gaps))
 
 
-def _check_coord(design: Design, j: int) -> np.ndarray:
-    if not 0 <= j < design.d:
-        raise DomainError(f"coordinate index {j} out of range for d={design.d}")
-    return design.points[:, j]
+def _check_coord(points: np.ndarray, j: int) -> np.ndarray:
+    if not 0 <= j < points.shape[1]:
+        raise DomainError(f"coordinate index {j} out of range for d={points.shape[1]}")
+    return points[:, j]
 

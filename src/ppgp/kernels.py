@@ -125,6 +125,17 @@ def _matern_at(nu, s, e=None):
     return np.minimum(val, 1.0)
 
 
+def _normalizer_is_finite(nu: float) -> bool:
+    """Whether the Bessel form's ``gamma(nu) * 2^(nu - 1)`` is a finite double.
+
+    Computed with :mod:`math`, so that building a kernel loads no SciPy.
+    """
+    try:
+        return math.isfinite(math.gamma(nu) * 2.0 ** (nu - 1.0))
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class Kernel1d:
     """A one-dimensional correlation function.
@@ -151,6 +162,11 @@ class Kernel1d:
             object.__setattr__(self, "nu", None)
         elif self.nu is None or not (math.isfinite(self.nu) and self.nu > 0):
             raise DomainError("matern smoothness nu must be positive and finite")
+        elif not _normalizer_is_finite(self.nu):
+            raise DomainError(
+                f"matern smoothness nu={self.nu!r} is out of range: the Bessel "
+                "normalizer gamma(nu) * 2^(nu - 1) overflows"
+            )
         if not (math.isfinite(self.phi) and self.phi > 0):
             raise DomainError("scale phi must be positive and finite")
 
@@ -279,7 +295,10 @@ class MultivariateKernel:
         for start in range(0, X.shape[0], step):
             diffs = X[start:start + step, None, :] - Z[None, :, :]
             if self.structure == "isotropic":
-                diffs *= diffs
+                # a square that overflows leaves an infinite lag, which
+                # the base kernel rejects; only the warning is suppressed
+                with np.errstate(over="ignore"):
+                    diffs *= diffs
                 out[start:start + step] = self.base(np.sqrt(np.sum(diffs, axis=-1)))
             else:
                 out[start:start + step] = self.combine(self.base(diffs))

@@ -142,6 +142,13 @@ class _Reader:
         if len(header) != 4 or header[0] != "matrix" or header[1] != expected:
             raise ModelFormatError(f"expected matrix {expected}, got {header!r}")
         rows, cols = int(header[2]), int(header[3])
+        # the header sizes the allocation only if the rest of the file can
+        # hold it: one line per row, each at least cols characters long
+        if rows > len(self.lines) - self.pos or (
+                rows > 0 and cols > len(self.lines[self.pos])):
+            raise ModelFormatError(
+                f"matrix {expected}: {rows}x{cols} does not fit in the rest of the file"
+            )
         A = np.empty((rows, cols))
         for i in range(rows):
             vals = [float(x) for x in self.next_line().split()]
@@ -242,6 +249,8 @@ def _parse(r: _Reader):
             raise ModelFormatError(
                 f"inner design has {inner.dim} columns for {W.shape[0]} rows of W"
             )
+        if not np.all(np.isfinite(trace_epochs) & (trace_epochs == np.round(trace_epochs))):
+            raise ModelFormatError("vector trace_epochs must hold whole epoch numbers")
         trace = tuple(
             (int(e), float(l)) for e, l in zip(trace_epochs, trace_losses)
         )
@@ -261,6 +270,6 @@ def load_model(path):
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"cannot read model file {path!r}: {exc}") from None
     return loads_model(text)

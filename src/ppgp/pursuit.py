@@ -96,6 +96,8 @@ class TrainConfig:
             raise DomainError("learning rate eta must be finite and non-negative")
         if not (math.isfinite(self.nugget) and self.nugget >= 0):
             raise DomainError("nugget must be finite and non-negative")
+        if not math.isfinite(self.early_stop_rel):
+            raise DomainError("early_stop_rel must be finite")
         if self.M < 1:
             raise DomainError("node count M must be at least 1")
         if self.epochs < 1:

@@ -7,11 +7,14 @@ pairs gives the empirical decay exponent; theory predicts roughly n^-nu
 for the additive structure against n^(-nu/d) isotropic, so for d >= 2
 the additive slope should be clearly steeper.
 
-Sample paths are drawn from the joint prior over design-plus-grid via an
-eigendecomposition of the joint Gram matrix, with tiny negative
-eigenvalues (rounding artifacts) clipped to zero.  A Cholesky of that
-matrix would need a jitter that acts as white observation noise on the
-path values and floors the measurable error, so it is avoided here.
+Sample paths come from one joint prior draw over the grid plus every
+design of the curve, via an eigendecomposition of the joint Gram matrix,
+with tiny negative eigenvalues (rounding artifacts) clipped to zero.
+Each design size is scored on its own slice of those paths, so its paths
+are exact prior draws and all sizes share the same random draws.  A
+Cholesky of that matrix would need a jitter that acts as white
+observation noise on the path values and floors the measurable error, so
+it is avoided here.
 """
 
 from __future__ import annotations
@@ -104,9 +107,10 @@ def sup_error_curve(
     composed by ``structure``.  For each n: one seeded LHS design, the
     (deterministic) grid maximum of the predictive standard deviation
     P(x), and the average over ``trials`` exact prior draws of the
-    sup-norm prediction error on the grid.  ``trials=0`` skips the draws
-    (sup_err reported as nan).  ``d`` must lie in 1..3 and every n be at
-    least 2.
+    sup-norm prediction error on the grid.  The draws are made once, over
+    the grid plus all the designs, and shared by every n.  ``trials=0``
+    skips the draws (sup_err reported as nan).  ``d`` must lie in 1..3 and
+    every n be at least 2.
     """
     if not 1 <= d <= 3:
         raise DomainError(f"rate checks support 1 <= d <= 3, got {d}")
@@ -118,23 +122,29 @@ def sup_error_curve(
     grid = _grid(d, grid_budget)
     kernel = MultivariateKernel(base=matern(nu), structure=structure, dim=d)
 
-    children = np.random.SeedSequence(seed).spawn(len(n_list))
+    # child i seeds design i through its first grandchild and the last child
+    # seeds the joint draw, so the designs, and max_p, do not depend on trials
+    *design_children, draw_child = np.random.SeedSequence(seed).spawn(len(n_list) + 1)
+    designs = [randomized_lhs(n, d, int(child.spawn(1)[0].generate_state(1)[0])).points
+               for n, child in zip(n_list, design_children)]
+    n_grid = grid.shape[0]
+    if trials > 0:
+        samples = prior_draws(kernel, np.vstack([grid, *designs]), trials,
+                              int(draw_child.generate_state(1)[0]))
     rows = []
-    for n, child in zip(n_list, children):
-        design_seed, draw_seed = (int(c.generate_state(1)[0]) for c in child.spawn(2))
-        design = randomized_lhs(n, d, design_seed).points
+    start = n_grid
+    for n, design in zip(n_list, designs):
         probe = fit(design, np.zeros(n), kernel, nugget=nugget, center=False)
         max_p = float(np.sqrt(np.max(probe.p_squared(grid))))
 
         sup_err = np.nan
         if trials > 0:
-            joint = np.vstack([design, grid])
-            samples = prior_draws(kernel, joint, trials, draw_seed)
             errs = []
             for s in samples:
-                model = fit(design, s[:n], kernel, nugget=nugget, center=False)
-                errs.append(np.max(np.abs(s[n:] - model.predict(grid))))
+                model = fit(design, s[start:start + n], kernel, nugget=nugget, center=False)
+                errs.append(np.max(np.abs(s[:n_grid] - model.predict(grid))))
             sup_err = float(np.mean(errs))
+        start += n
         rows.append(CurveRow(n=n, max_p=max_p, sup_err=sup_err))
     return rows
 

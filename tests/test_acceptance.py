@@ -197,7 +197,7 @@ class TestAcceptance:
                 strata = np.floor(design.points[:, j] * n).astype(int)
                 if not np.array_equal(np.sort(strata), np.arange(n)):
                     failures += 1
-                h = marginal_fill_distance_exact(design, j)
+                h = marginal_fill_distance_exact(design.points, j)
                 worst_h = max(worst_h, h)
                 if h > 2.0 / n:
                     failures += 1

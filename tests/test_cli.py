@@ -4,9 +4,12 @@ All commands run in-process through ``cli.main(argv)`` so exit codes and
 output files can be checked directly.
 """
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -279,6 +282,16 @@ class TestFitPredict:
         rc = cli.main(["predict", "--model", str(model_path), "--points", str(points_path)])
         assert rc == 1
         assert "error: vector alpha has 11 entries for 12 design rows" in capsys.readouterr().err
+
+    def test_non_ascii_model_file_is_usage_error(self, served, capsys):
+        """One byte that is not ASCII makes the model file unreadable: exit 1,
+        not a UnicodeDecodeError."""
+        model_path, points_path = served
+        data = model_path.read_bytes()
+        model_path.write_bytes(data.replace(b"\nphi ", b"\nphi \xff", 1))
+        rc = cli.main(["predict", "--model", str(model_path), "--points", str(points_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: cannot read model file")
 
     def test_predict_missing_model_file(self, tmp_path, capsys):
         points_path = tmp_path / "points.csv"
@@ -610,6 +623,44 @@ class TestRejectedValues:
         assert "expected at least one item" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["predict", "--model", "{model}", "--points", "{tmp}/ragged.csv"], "ragged rows"),
+        (["predict", "--model", "{model}", "--points", "{tmp}/header.csv"],
+         "no numeric rows"),
+        (["fit", "--function", "xy-plus-x2", "--center", "maybe"], "expected a boolean"),
+        (["tune", "--function", "xy-plus-x2", "--kernels", "matern:2.5"],
+         "is not family:nu:phi"),
+    ], ids=["ragged-points", "no-numeric-row", "center-maybe", "kernel-pair"])
+    def test_malformed_value_is_usage_error(self, tmp_path, served, capsys, argv, message):
+        model_path, _ = served
+        (tmp_path / "ragged.csv").write_text("0.5,0.5\n0.25\n")
+        (tmp_path / "header.csv").write_text("x1,x2\n# no data\n")
+        argv = [a.format(tmp=tmp_path, model=model_path) for a in argv]
+        if argv[0] == "fit":
+            argv = argv + ["--model-out", str(tmp_path / "m.txt")]
+        assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out.csv").exists()
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--early-stop-rel", "nan"],
+        ["--early-stop-rel", "inf"],
+        ["--nu", "1e308"],
+        ["--method", "gp-iso", "--nu", "200"],
+    ], ids=["early-stop-nan", "early-stop-inf", "nu-overflow", "nu-bessel-nan"])
+    def test_unusable_training_value_is_usage_error(self, tmp_path, capsys, argv):
+        """A value that would train on nan or raise OverflowError is refused
+        before any training, and no model file is written."""
+        model_path = tmp_path / "m.txt"
+        rc = cli.main(["fit", "--function", "xy-plus-x2", "--n-train", "10",
+                       "--epochs", "3", "--M", "3", *argv,
+                       "--model-out", str(model_path), "--out", str(tmp_path / "f.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not model_path.exists()
+
     def test_help_shows_defaults_next_to_help_text(self, capsys):
         assert cli.main(["fit", "--help"]) == 0
         text = " ".join(capsys.readouterr().out.split())
@@ -663,3 +714,69 @@ def test_points_file_round_trips_through_predict(small_ppgpr, case):
     assert out.shape == (pts.shape[0], 3)
     assert out[:, :2].tobytes() == pts.tobytes()
     assert out[:, 2].tobytes() == model.predict(pts).tobytes()
+
+
+@pytest.fixture(scope="module")
+def model_files(small_ppgpr):
+    """The text of a 10-point ppgpr and an 8-point gp-iso model file, a
+    points file, and a scratch directory."""
+    _, workdir = small_ppgpr
+    U = halton(8, 2).points
+    gp = make_model(ModelSpec("gp-iso"), U, by_name("xy-plus-x2").eval_unit(U),
+                    weight_seed=0)
+    points = workdir / "probe.csv"
+    points.write_text("x1,x2\n0.1,0.2\n0.5,0.5\n0.9,0.3\n")
+    texts = {"ppgpr": (workdir / "model.txt").read_text(encoding="ascii"),
+             "gp": dumps_model(gp)}
+    return texts, points, workdir
+
+
+_TOKENS = ["nan", "inf", "-inf", "1e308", "-1", "0", "", "oops",
+           "12345678901234567890", "4000000000"]
+
+
+def _mutate(text, mutation, line, col, where, token):
+    """``text`` with one token replaced, one line deleted or duplicated,
+    cut short, or a 0xff byte inserted; returns bytes."""
+    lines = text.splitlines()
+    i = line % len(lines)
+    if mutation == "replace":
+        words = lines[i].split(" ")
+        words[col % len(words)] = token
+        lines[i] = " ".join(words)
+    elif mutation == "delete":
+        del lines[i]
+    elif mutation == "duplicate":
+        lines.insert(i, lines[i])
+    data = ("\n".join(lines) + "\n").encode("ascii")
+    if mutation == "truncate":
+        data = data[:where % len(data)]
+    elif mutation == "byte":
+        k = where % (len(data) + 1)
+        data = data[:k] + b"\xff" + data[k:]
+    return data
+
+
+# line 3 of a gp file is 'nu 2.5' and line 11 'matrix design 8 2'
+@example(kind="gp", mutation="replace", line=3, col=1, where=0, token="1e308")
+@example(kind="gp", mutation="replace", line=11, col=2, where=0, token="4000000000")
+@example(kind="ppgpr", mutation="byte", line=0, col=0, where=100, token="")
+@settings(max_examples=300, deadline=None, database=None)
+@given(kind=st.sampled_from(["ppgpr", "gp"]),
+       mutation=st.sampled_from(["replace", "delete", "duplicate", "truncate", "byte"]),
+       line=st.integers(0, 10**4), col=st.integers(0, 10**4),
+       where=st.integers(0, 10**6), token=st.sampled_from(_TOKENS))
+def test_mutated_model_file_never_escapes_predict(model_files, kind, mutation, line,
+                                                  col, where, token):
+    """Whatever one mutation does to a model file, in-process `ppgp predict`
+    returns 0, 1 or 2; it never raises, and a failure says why on stderr."""
+    texts, points, workdir = model_files
+    model_path = workdir / "mutated.txt"
+    model_path.write_bytes(_mutate(texts[kind], mutation, line, col, where, token))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(["predict", "--model", str(model_path), "--points", str(points),
+                       "--out", str(workdir / "pred.csv")])
+    assert rc in (0, 1, 2)
+    if rc:
+        assert err.getvalue().startswith(("error: ", "numerical error: "))

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from ppgp import (
-    Design,
     DomainError,
     GENERATORS,
     halton,
@@ -58,11 +57,9 @@ class TestHalton:
             halton(5, 0)
 
     def test_design_metadata(self):
-        """The record carries shape and generator name."""
+        """The record is its n x d points; the generator is registered."""
         D = halton(12, 3)
         assert D.points.shape == (12, 3)
-        assert D.d == 3
-        assert D.generator == "halton"
         assert "halton" in GENERATORS
 
 
@@ -103,7 +100,7 @@ class TestRandomizedLhs:
             for j in range(d):
                 strata = np.floor(D.points[:, j] * n).astype(int)
                 assert sorted(strata) == list(range(n))
-                assert marginal_fill_distance_exact(D, j) <= 2.0 / n
+                assert marginal_fill_distance_exact(D.points, j) <= 2.0 / n
 
     def test_coordinates_distinct_across_points(self):
         """Each dimension's coordinates are pairwise distinct."""
@@ -129,50 +126,46 @@ class TestMarginalFillDistance:
 
     def test_single_point_at_half(self):
         """One point at 0.5 has fill distance 0.5."""
-        D = Design(points=np.array([[0.5]]), generator="uniform-random", seed=None)
-        assert marginal_fill_distance_exact(D, 0) == 0.5
-        grid_value = marginal_fill_distance(D, 0)
+        pts = np.array([[0.5]])
+        assert marginal_fill_distance_exact(pts, 0) == 0.5
+        grid_value = marginal_fill_distance(pts, 0)
         assert abs(grid_value - 0.5) <= 1.0 / (2.0 * 10001)
 
     def test_equispaced_centers(self):
         """Points at (2i-1)/(2n) give fill distance exactly 1/(2n)."""
         for n in (4, 9, 16):
             pts = ((2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)).reshape(-1, 1)
-            D = Design(points=pts, generator="uniform-random", seed=None)
-            assert np.isclose(marginal_fill_distance_exact(D, 0), 1.0 / (2 * n),
+            assert np.isclose(marginal_fill_distance_exact(pts, 0), 1.0 / (2 * n),
                               rtol=1e-12)
 
     def test_grid_approximation_matches_exact(self):
         """Grid and exact versions agree within the documented grid error."""
         for seed in range(10):
-            D = randomized_lhs(12, 3, seed)
+            pts = randomized_lhs(12, 3, seed).points
             for j in range(3):
-                exact = marginal_fill_distance_exact(D, j)
-                approx = marginal_fill_distance(D, j)
+                exact = marginal_fill_distance_exact(pts, j)
+                approx = marginal_fill_distance(pts, j)
                 assert abs(approx - exact) <= 1.0 / (2.0 * 10001) + 1e-12
 
     def test_monotone_under_point_addition(self):
         """Adding points never increases the fill distance."""
         rng = np.random.default_rng(2)
         pts = rng.uniform(size=(4, 2))
-        D_small = Design(points=pts, generator="uniform-random", seed=None)
         bigger = np.vstack([pts, rng.uniform(size=(6, 2))])
-        D_big = Design(points=bigger, generator="uniform-random", seed=None)
         for j in range(2):
             assert (
-                marginal_fill_distance_exact(D_big, j)
-                <= marginal_fill_distance_exact(D_small, j)
+                marginal_fill_distance_exact(bigger, j)
+                <= marginal_fill_distance_exact(pts, j)
             )
 
     def test_boundary_gaps_count(self):
         """Distance to 0 and 1 matters: a cluster at 0.9 has h = 0.9."""
-        D = Design(points=np.array([[0.9], [0.92]]), generator="uniform-random",
-                   seed=None)
-        assert np.isclose(marginal_fill_distance_exact(D, 0), 0.9, rtol=1e-12)
+        pts = np.array([[0.9], [0.92]])
+        assert np.isclose(marginal_fill_distance_exact(pts, 0), 0.9, rtol=1e-12)
 
     def test_bad_dimension_index(self):
         """An out-of-range column index raises."""
-        D = halton(5, 2)
+        pts = halton(5, 2).points
         with pytest.raises(DomainError):
-            marginal_fill_distance_exact(D, 2)
+            marginal_fill_distance_exact(pts, 2)
 

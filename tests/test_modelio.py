@@ -266,6 +266,44 @@ class TestArrayShapes:
         assert dumps_model(loads_model(text)) == text
 
 
+class TestHostileFiles:
+    """A file that cannot be decoded, sized or evaluated raises a typed
+    error: ModelFormatError, or DomainError for a parsed value outside its
+    domain; never UnicodeDecodeError, MemoryError or OverflowError."""
+
+    def test_non_ascii_byte_is_format_error(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_bytes(dumps_model(_PPGPR).encode("ascii").replace(
+            b"\nphi ", b"\nphi \xff", 1))
+        with pytest.raises(ModelFormatError, match="cannot read model file"):
+            load_model(path)
+
+    @pytest.mark.parametrize("header", ["matrix W 4000000000 8", "matrix W 4 4000000000"],
+                             ids=["rows", "cols"])
+    def test_matrix_larger_than_file_is_format_error(self, header):
+        """The header's shape is checked against the file before any
+        allocation, so no MemoryError."""
+        text = dumps_model(_PPGPR).replace("matrix W 4 8", header)
+        with pytest.raises(ModelFormatError, match="does not fit"):
+            loads_model(text)
+
+    @pytest.mark.parametrize("epoch", ["inf", "0.5"])
+    def test_trace_epoch_must_be_whole(self, epoch):
+        """inf is no epoch, and 0.5 must not be truncated to epoch 0."""
+        lines = dumps_model(_PPGPR).splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("vector trace_epochs"))
+        lines[i + 1] = " ".join([epoch, *lines[i + 1].split()[1:]])
+        with pytest.raises(ModelFormatError, match="whole epoch"):
+            loads_model("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("nu", ["1e308", "200.0"])
+    def test_overflowing_nu_is_domain_error(self, nu):
+        """No kernel is built whose Bessel form overflows (1e308) or
+        evaluates to nan (200)."""
+        with pytest.raises(DomainError, match="normalizer"):
+            loads_model(_replace_line(dumps_model(_PPGPR), "nu", nu))
+
+
 class TestFileAndErrors:
     """Disk persistence and malformed inputs."""
 

@@ -308,6 +308,13 @@ class TestTrainConfig:
             with pytest.raises(DomainError):
                 TrainConfig(eta=1e-9, epochs=10, M=3, nugget=nugget)
 
+    def test_non_finite_early_stop_rel_rejected(self):
+        """A nan threshold never stops early and inf always stops at the
+        first window, so neither is a usable setting."""
+        for rel in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError, match="early_stop_rel"):
+                TrainConfig(eta=1e-9, epochs=10, M=3, early_stop_rel=rel)
+
     def test_eta_zero_allowed(self):
         """eta = 0 is a valid degenerate configuration (no updates)."""
         cfg = TrainConfig(eta=0.0, epochs=5, M=2)

@@ -87,3 +87,25 @@ def test_scipy_loads_at_first_use(files):
     assert "scipy.linalg" in loaded["fit"]
     assert "scipy.special" not in loaded["fit"]
     assert "scipy.special" in loaded["general nu"]
+
+
+_NU_RANGE = f"""
+import json, sys
+from ppgp import DomainError, matern
+rejected = []
+for nu in (1e308, 2000.0, 200.0, 151.2, 151.0):
+    try:
+        matern(nu)
+    except DomainError as exc:
+        rejected.append(nu)
+        assert "normalizer" in str(exc), exc
+print(json.dumps({{"rejected": rejected, "scipy": {_SCIPY_LOADED}}}))
+"""
+
+
+def test_overflowing_bessel_normalizer_rejected_without_scipy():
+    """A Matérn nu whose gamma(nu) * 2^(nu - 1) is not a finite double is a
+    DomainError at construction, not an OverflowError or a kernel of nan
+    values; the check loads no SciPy."""
+    out = _fresh(_NU_RANGE, [])
+    assert out == {"rejected": [1e308, 2000.0, 200.0, 151.2], "scipy": []}
