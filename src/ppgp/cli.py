@@ -6,8 +6,9 @@ Subcommands: ``design``, ``fit``, ``predict``, ``eval-grid``,
 ``fit``, ``bench-table`` and ``tune`` build their models from one
 :class:`~ppgp.evaluation.ModelSpec` through
 :func:`~ppgp.evaluation.make_model`, the same factory the library's
-experiment harness uses, with the same weight seeds; the kernel and
-training keys take their defaults from ``ModelSpec``.
+experiment harness uses, with the same weight seeds; the kernel keys take
+their defaults from ``ModelSpec.kernel`` and the training keys from
+:class:`~ppgp.pursuit.TrainConfig`.
 
 Every subcommand accepts ``--config FILE`` (plain text, one ``key=value``
 per line, ``#`` comments) plus per-key flags; flags override the file.
@@ -57,13 +58,17 @@ from .evaluation import (
 )
 # fit and train go unused here, but perfbench/tracer.py patches cli.fit and cli.train
 from .gp import fit
+from .kernels import Kernel1d
 from .modelio import load_model, save_model
-from .pursuit import PpgprModel, default_node_count, train
+from .pursuit import PpgprModel, TrainConfig, default_node_count, train
 
 __all__ = ["main"]
 
-_USAGE_ERRORS = (ConfigError, DomainError, ModelFormatError)
+# a request too large to allocate is a usage error, like any other bad value
+_USAGE_ERRORS = (ConfigError, DomainError, ModelFormatError, MemoryError)
 _NUMERICAL_ERRORS = (SingularMatrixError, FitError, TrainingError, MetricError)
+# the largest int key: numpy sizes and seeds are 64-bit
+_INT_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -92,8 +97,8 @@ def _fmt(x) -> str:
 
 def _count(raw: str) -> int:
     value = int(raw)
-    if value < 0:
-        raise ValueError("expected a non-negative integer")
+    if not 0 <= value <= _INT_MAX:
+        raise ValueError(f"expected a non-negative integer of at most {_INT_MAX}")
     return value
 
 
@@ -107,15 +112,20 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_kernels(raw: str) -> tuple:
-    """family:nu:phi triples separated by ';' (nu '-' or empty for none)."""
+    """Kernels as family:nu:phi triples separated by ';' (nu '-' or empty
+    for none)."""
     out = []
     for part in raw.split(";"):
         fields = [f.strip() for f in part.split(":")]
         if len(fields) != 3:
             raise ValueError(f"{part!r} is not family:nu:phi (e.g. matern:2.5:1.0)")
         family, nu, phi = fields
-        out.append((family, None if nu in ("", "-") else float(nu), float(phi)))
+        out.append(Kernel1d(family, None if nu in ("", "-") else float(nu), float(phi)))
     return tuple(out)
+
+
+def _render_kernel(k: Kernel1d) -> str:
+    return ":".join([k.family, "-" if k.nu is None else _fmt(k.nu), _fmt(k.phi)])
 
 
 def _items(parse):
@@ -133,7 +143,8 @@ def _joined(render, sep=","):
 
 
 # key kind -> (parse text, render value); every rendered value parses back.
-# Every int key is a count or a seed, so negative integers are rejected.
+# Every int key is a count or a seed, so negative integers are rejected, and
+# so are integers past _INT_MAX.
 _KINDS = {
     "str": (str, str),
     "int": (_count, str),
@@ -142,30 +153,30 @@ _KINDS = {
     "ints": (_items(_count), _joined(str)),
     "floats": (_items(float), _joined(_fmt)),
     "strs": (_items(str), _joined(str)),
-    "kernels": (_parse_kernels,
-                _joined(_joined(lambda f: "-" if f is None else _fmt(f), ":"), ";")),
+    "kernels": (_parse_kernels, _joined(_render_kernel, ";")),
 }
 
 
-def _spec_key(name: str, kind: str, help: str = "") -> Key:
-    """A key for a :class:`ModelSpec` field, with the field's default."""
-    return Key(name, kind, default=_KINDS[kind][1](getattr(ModelSpec, name)), help=help)
+def _field_key(owner, name: str, kind: str, help: str = "") -> Key:
+    """A key for the field ``name`` of ``owner``, with the field's default."""
+    return Key(name, kind, default=_KINDS[kind][1](getattr(owner, name)), help=help)
 
 
 _NODE_COUNT_HELP = "defaults to min(n_train-5, 5d)"
 _N_TRAIN_KEY = Key("n_train", "int", example="n_train=40", help="defaults to 5 d")
-# each is a ModelSpec field of the same name
-_KERNEL_KEYS = [_spec_key("family", "str"), _spec_key("nu", "float"), _spec_key("phi", "float")]
+# each is a Kernel1d field of the same name
+_KERNEL_KEYS = [_field_key(ModelSpec.kernel, name, kind)
+                for name, kind in (("family", "str"), ("nu", "float"), ("phi", "float"))]
+# each is a TrainConfig field of the same name
 _TRAIN_KEYS = [
-    _spec_key("eta", "float"),
-    _spec_key("epochs", "int"),
+    _field_key(TrainConfig, "eta", "float"),
+    _field_key(TrainConfig, "epochs", "int"),
     Key("M", "int", example="M=35", help=_NODE_COUNT_HELP),
-    _spec_key("early_stop_rel", "float",
-              help="10-epoch relative-improvement threshold; 0 disables early stop"),
-    _spec_key("nugget", "float"),
-    _spec_key("center", "bool"),
+    _field_key(TrainConfig, "early_stop_rel", "float",
+               help="10-epoch relative-improvement threshold; 0 disables early stop"),
+    _field_key(TrainConfig, "nugget", "float"),
+    _field_key(TrainConfig, "center", "bool"),
 ]
-_MODEL_KEYS = _KERNEL_KEYS + _TRAIN_KEYS
 # the training keys of tune: its grid sets eta and M
 _TUNE_TRAIN_KEYS = [k for k in _TRAIN_KEYS if k.name not in ("eta", "M")]
 
@@ -182,7 +193,8 @@ SUBCOMMANDS: dict[str, list[Key]] = {
         Key("function", "str", required=True, example="function=borehole"),
         Key("method", "str", default="ppgpr", help=" | ".join(METHODS)),
         _N_TRAIN_KEY,
-        *_MODEL_KEYS,
+        *_KERNEL_KEYS,
+        *_TRAIN_KEYS,
         Key("seed", "int", default="0"),
         Key("model_out", "str", required=True, example="model_out=model.txt"),
         Key("trace_out", "str", example="trace_out=trace.csv",
@@ -208,7 +220,8 @@ SUBCOMMANDS: dict[str, list[Key]] = {
             example="methods=gp-iso,gp-pro,ppgpr"),
         Key("seeds", "ints", default="0", example="seeds=0,1,2"),
         _N_TRAIN_KEY,
-        *_MODEL_KEYS,
+        *_KERNEL_KEYS,
+        *_TRAIN_KEYS,
         Key("out", "str", example="out=table.csv"),
     ],
     "tune": [
@@ -334,9 +347,13 @@ def _read_points_csv(path: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _spec_fields(cfg: dict, keys: list[Key]) -> dict:
-    """The :class:`ModelSpec` fields that ``keys`` name, from a resolved config."""
+def _values(cfg: dict, keys: list[Key]) -> dict:
+    """The values of ``keys`` in a resolved config, by name."""
     return {k.name: cfg[k.name] for k in keys}
+
+
+def _kernel(cfg: dict) -> Kernel1d:
+    return Kernel1d(**_values(cfg, _KERNEL_KEYS))
 
 
 def _run_design(cfg: dict) -> tuple[str, list[str]]:
@@ -351,11 +368,12 @@ def _run_design(cfg: dict) -> tuple[str, list[str]]:
 
 
 def _run_fit(cfg: dict) -> tuple[str, list[str]]:
-    spec = ModelSpec(cfg["method"], **_spec_fields(cfg, _MODEL_KEYS))
+    config = TrainConfig(**_values(cfg, _TRAIN_KEYS), seed=_experiment_seeds(cfg["seed"])[1])
+    spec = ModelSpec(cfg["method"], _kernel(cfg), config)
     if spec.method != "ppgpr" and cfg["trace_out"] is not None:
         raise ConfigError(f"trace_out is for ppgpr: {spec.method} trains no epochs")
     U, Y = _halton_training(by_name(cfg["function"]), cfg["n_train"])
-    model = make_model(spec, U, Y, _experiment_seeds(cfg["seed"])[1])
+    model = make_model(spec, U, Y)
     ppgpr = isinstance(model, PpgprModel)
     comments = [f"# model written to {cfg['model_out']}"]
     # the trace goes first: a trace path that cannot be written leaves no model
@@ -414,17 +432,18 @@ def _run_eval_grid(cfg: dict) -> tuple[str, list[str]]:
 
 
 def _run_bench_table(cfg: dict) -> tuple[str, list[str]]:
-    fields = _spec_fields(cfg, _MODEL_KEYS)
-    specs = [ModelSpec(method, **fields) for method in cfg["methods"]]
+    kernel, config = _kernel(cfg), TrainConfig(**_values(cfg, _TRAIN_KEYS))
+    specs = [ModelSpec(method, kernel, config) for method in cfg["methods"]]
     reports = benchmark_table(cfg["functions"], specs, cfg["seeds"], n_train=cfg["n_train"])
     header = ("function,method,seed,n_train,n_test,family,nu,phi,eta,epochs,M,"
               "centered,diverged,rmse,rmse_abs")
     rows = []
     for r in reports:
-        s = r.spec
-        training = (s.eta, s.epochs, s.M) if s.method == "ppgpr" else (None,) * 3
-        rows.append([r.function, s.method, r.seed, r.n_train, r.n_test, s.family, s.nu,
-                     s.phi, *training, int(s.center), int(r.diverged), r.rmse, r.rmse_abs])
+        c = r.spec.config
+        training = (c.eta, c.epochs, c.M) if r.spec.method == "ppgpr" else (None,) * 3
+        rows.append([r.function, r.spec.method, r.seed, r.n_train, r.n_test, kernel.family,
+                     kernel.nu, kernel.phi, *training, int(c.center), int(r.diverged),
+                     r.rmse, r.rmse_abs])
     return _csv(header, rows), []
 
 
@@ -432,12 +451,11 @@ def _run_tune(cfg: dict) -> tuple[str, list[str]]:
     U, Y = _halton_training(by_name(cfg["function"]), cfg["n_train"])
     Ms = (default_node_count(*U.shape),) if cfg["Ms"] is None else cfg["Ms"]
     grid = TuneGrid(etas=cfg["etas"], Ms=Ms, kernels=cfg["kernels"], folds=cfg["folds"])
-    best, table = cross_validate(
-        U, Y, grid, cfg["seed"], **_spec_fields(cfg, _TUNE_TRAIN_KEYS)
-    )
+    best, table = cross_validate(U, Y, grid, cfg["seed"], **_values(cfg, _TUNE_TRAIN_KEYS))
     rows = [["fold", row["grid_index"], row["eta"], row["M"], row["family"],
              row["nu"], row["phi"], row["fold"], row["rmse"], None] for row in table]
-    rows.append(["best", None, best["eta"], best["M"], *best["kernel"],
+    k = best["kernel"]
+    rows.append(["best", None, best["eta"], best["M"], k.family, k.nu, k.phi,
                  None, None, best["mean_rmse"]])
     return _csv("kind,grid_index,eta,M,family,nu,phi,fold,rmse,mean_rmse", rows), []
 

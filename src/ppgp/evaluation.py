@@ -32,7 +32,7 @@ from .designs import halton, uniform_random
 from .errors import ConfigError, MetricError, TrainingError
 from .gp import GpModel, fit
 from .kernels import Kernel1d, MultivariateKernel
-from .pursuit import PpgprModel, TrainConfig, default_node_count, train
+from .pursuit import PpgprModel, TrainConfig, train
 
 __all__ = [
     "METHODS",
@@ -59,52 +59,30 @@ _N_TEST = 500
 class ModelSpec:
     """One surrogate: its method, 1-d kernel and training settings.
 
-    ``M=None`` means :func:`default_node_count` of the training set.  The
-    GP methods use only the kernel, ``nugget`` and ``center``; ``eta``,
-    ``epochs``, ``M`` and ``early_stop_rel`` (0 disables early stopping)
-    train the projection-pursuit weights.  :class:`Kernel1d` checks the
-    kernel when the spec is made; ``nu`` is its own (None for a Gaussian).
+    The GP methods read only the config's ``nugget`` and ``center``; the
+    rest of it trains the projection-pursuit weights, seeded by
+    ``config.seed``.
     """
 
     method: str
-    family: str = "matern"
-    nu: float | None = 2.5
-    phi: float = 1.0
-    eta: float = 1e-9
-    epochs: int = 150
-    M: int | None = None
-    early_stop_rel: float = TrainConfig.early_stop_rel
-    nugget: float = TrainConfig.nugget
-    center: bool = TrainConfig.center
+    kernel: Kernel1d = Kernel1d("matern", 2.5)
+    config: TrainConfig = TrainConfig()
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(
                 f"unknown method {self.method!r}; valid: {', '.join(METHODS)}"
             )
-        object.__setattr__(self, "nu", Kernel1d(self.family, self.nu, self.phi).nu)
 
 
-def make_model(spec: ModelSpec, U: np.ndarray, Y: np.ndarray,
-               weight_seed: int) -> GpModel | PpgprModel:
-    """Fit ``spec``'s surrogate to responses ``Y`` at the rows of ``U``.
-
-    ``weight_seed`` seeds the initial projection weights (unused by the GP
-    methods).
-    """
-    base = Kernel1d(spec.family, spec.nu, spec.phi)
+def make_model(spec: ModelSpec, U: np.ndarray, Y: np.ndarray) -> GpModel | PpgprModel:
+    """Fit ``spec``'s surrogate to responses ``Y`` at the rows of ``U``."""
     if spec.method == "ppgpr":
-        cfg = TrainConfig(
-            eta=spec.eta, epochs=spec.epochs,
-            M=default_node_count(*U.shape) if spec.M is None else spec.M,
-            early_stop_rel=spec.early_stop_rel, seed=weight_seed,
-            nugget=spec.nugget, center=spec.center,
-        )
-        return train(U, Y, base, cfg)
+        return train(U, Y, spec.kernel, spec.config)
     kernel = MultivariateKernel(
-        base=base, structure=_METHOD_STRUCTURE[spec.method], dim=U.shape[1]
+        base=spec.kernel, structure=_METHOD_STRUCTURE[spec.method], dim=U.shape[1]
     )
-    return fit(U, Y, kernel, nugget=spec.nugget, center=spec.center)
+    return fit(U, Y, kernel, nugget=spec.config.nugget, center=spec.config.center)
 
 
 def _vectors(pred, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +123,8 @@ def _safe_rmse(pred, truth) -> float:
 class ExperimentReport:
     """One (spec, function, seed) evaluation, mirroring a results-table row.
 
-    ``spec`` is the surrogate as built, with ``ppgpr``'s resolved ``M``.
+    ``spec`` is the surrogate as built: its config holds the weight seed
+    and, for ``ppgpr``, the resolved ``M``.
     """
 
     spec: ModelSpec
@@ -177,34 +156,35 @@ def run_experiment(
     n_train: int | None = None,
     n_test: int = _N_TEST,
     seed: int = 0,
-    **hyper,
+    kernel: Kernel1d = ModelSpec.kernel,
+    **config,
 ) -> ExperimentReport:
     """Train/test one model on one benchmark function.
 
-    ``hyper`` sets the other :class:`ModelSpec` fields (``family``,
-    ``nu``, ``phi``, ``eta``, ``epochs``, ``M``, ``early_stop_rel``,
-    ``nugget``, ``center``); the rest keep its defaults.  Training design
-    is Halton (deterministic, defaults to 5 d points); test design is
-    seeded uniform-random.  The seed drives the test design and, for the
-    projection-pursuit model, the weight initialization, through
-    independently spawned child seeds.
+    ``config`` sets :class:`TrainConfig` fields other than ``seed``; the
+    rest keep its defaults.  Training design is Halton (deterministic,
+    defaults to 5 d points); test design is seeded uniform-random.  The
+    seed drives the test design and, for the projection-pursuit model, the
+    weight initialization, through independently spawned child seeds.
     """
-    return _experiment(ModelSpec(method, **hyper), function, n_train, n_test, seed)
+    spec = ModelSpec(method, kernel, TrainConfig(**config))
+    return _experiment(spec, function, n_train, n_test, seed)
 
 
 def _experiment(spec: ModelSpec, function: str, n_train: int | None,
                 n_test: int, seed: int) -> ExperimentReport:
     fn = by_name(function)
     test_seed, weight_seed = _experiment_seeds(seed)
+    spec = replace(spec, config=replace(spec.config, seed=weight_seed))
     U_train, Y_train = _halton_training(fn, n_train)
     U_test = uniform_random(n_test, fn.dim, test_seed).points
     Y_test = fn.eval_unit(U_test)
 
-    model = make_model(spec, U_train, Y_train, weight_seed)
+    model = make_model(spec, U_train, Y_train)
     pred = model.predict(U_test)
     ppgpr = isinstance(model, PpgprModel)
     return ExperimentReport(
-        spec=replace(spec, M=model.M) if ppgpr else spec,
+        spec=replace(spec, config=model.config) if ppgpr else spec,
         function=function,
         n_train=U_train.shape[0],
         n_test=n_test,
@@ -219,20 +199,20 @@ def _experiment(spec: ModelSpec, function: str, n_train: int | None,
 class TuneGrid:
     """Hyperparameter grid for :func:`cross_validate`.
 
-    ``kernels`` holds (family, nu, phi) triples.  Selection ties are
+    ``kernels`` holds :class:`Kernel1d` values.  Selection ties are
     broken lexicographically: smaller M first, then earlier eta, then
     earlier kernel, so tuning runs are reproducible.
     """
 
     etas: tuple
     Ms: tuple
-    kernels: tuple = ((ModelSpec.family, ModelSpec.nu, ModelSpec.phi),)
+    kernels: tuple = (ModelSpec.kernel,)
     folds: int = 5
 
     def __post_init__(self):
         object.__setattr__(self, "etas", tuple(self.etas))
         object.__setattr__(self, "Ms", tuple(self.Ms))
-        object.__setattr__(self, "kernels", tuple(tuple(k) for k in self.kernels))
+        object.__setattr__(self, "kernels", tuple(self.kernels))
         if not self.etas or not self.Ms or not self.kernels:
             raise ConfigError("tune grid lists must be non-empty")
         if self.folds < 2:
@@ -247,59 +227,54 @@ def fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
 
-# ModelSpec fields that each TuneGrid point sets
-_GRID_FIELDS = ("family", "nu", "phi", "eta", "M")
-
-
 def cross_validate(
     X: np.ndarray,
     Y: np.ndarray,
     grid: TuneGrid,
     seed: int = 0,
-    **hyper,
+    **config,
 ) -> tuple[dict, list[dict]]:
     """K-fold tuning of the projection-pursuit model.
 
-    ``hyper`` sets the training fields of :class:`ModelSpec` that the grid
-    does not (``epochs``, ``early_stop_rel``, ``nugget``, ``center``).
-    Returns (best point, fold table).  The table has one row per (grid
-    point, fold), kernel by kernel, then M, then eta, then fold, with the
-    held-out RMSE (relative, absolute fallback on exact zeros).  The best
-    point (``eta``, ``M``, ``kernel`` and ``mean_rmse``) minimizes the mean
-    fold RMSE, ties broken as :class:`TuneGrid` says.  Rows and best point
-    carry the spec's ``nu``, which is None for a Gaussian.  A fold whose
-    training fails scores ``inf``; if every grid point has one, a
-    ``TrainingError`` says how many folds failed.
+    ``config`` sets the :class:`TrainConfig` fields that the grid does not
+    (``epochs``, ``early_stop_rel``, ``nugget``, ``center``).  Returns
+    (best point, fold table).  The table has one row per (grid point,
+    fold), kernel by kernel, then M, then eta, then fold, with the kernel's
+    ``family``, ``nu`` (None for a Gaussian) and ``phi`` and the held-out
+    RMSE (relative, absolute fallback on exact zeros).  The best point
+    (``eta``, ``M``, ``kernel`` and ``mean_rmse``) minimizes the mean fold
+    RMSE, ties broken as :class:`TuneGrid` says.  A fold whose training
+    fails scores ``inf``; if every grid point has one, a ``TrainingError``
+    says how many folds failed.
     """
-    clash = sorted(set(hyper) & set(_GRID_FIELDS))
+    clash = sorted(set(config) & {"eta", "M"})
     if clash:
         raise TypeError(f"cross_validate() takes {', '.join(clash)} from the grid, "
                         "not as keywords")
-    spec = ModelSpec("ppgpr", **hyper)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float).reshape(-1)
     fold_seed, weight_seed = _experiment_seeds(seed)
+    base = TrainConfig(**config, seed=weight_seed)
     folds = fold_indices(X.shape[0], grid.folds, fold_seed)
     all_idx = np.arange(X.shape[0])
 
     table: list[dict] = []
     best, best_key = None, None
     points = product(grid.kernels, grid.Ms, enumerate(grid.etas))
-    for gi, ((family, nu, phi), M, (ei, eta)) in enumerate(points):
-        point_spec = replace(spec, family=family, nu=nu, phi=phi, eta=eta, M=M)
-        nu = point_spec.nu
+    for gi, (kernel, M, (ei, eta)) in enumerate(points):
+        spec = ModelSpec("ppgpr", kernel, replace(base, eta=eta, M=M))
         fold_scores = []
         for fi, hold in enumerate(folds):
             train_idx = np.setdiff1d(all_idx, hold)
             try:
-                model = make_model(point_spec, X[train_idx], Y[train_idx], weight_seed)
+                model = make_model(spec, X[train_idx], Y[train_idx])
                 score = _safe_rmse(model.predict(X[hold]), Y[hold])
             except TrainingError:
                 score = np.inf
             fold_scores.append(score)
             table.append({
                 "grid_index": gi, "eta": eta, "M": M,
-                "family": family, "nu": nu, "phi": phi,
+                "family": kernel.family, "nu": kernel.nu, "phi": kernel.phi,
                 "fold": fi, "rmse": score,
             })
         mean_score = float(np.mean(fold_scores))
@@ -307,8 +282,7 @@ def cross_validate(
         key = (mean_score, M, ei)
         if best_key is None or key < best_key:
             best_key = key
-            best = {"eta": eta, "M": M, "kernel": (family, nu, phi),
-                    "mean_rmse": mean_score}
+            best = {"eta": eta, "M": M, "kernel": kernel, "mean_rmse": mean_score}
     if not np.isfinite(best["mean_rmse"]):
         failed = sum(np.isinf(row["rmse"]) for row in table)
         raise TrainingError(f"every grid point has a failed fold: {failed} of "

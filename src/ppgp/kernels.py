@@ -136,6 +136,24 @@ def _normalizer_is_finite(nu: float) -> bool:
         return False
 
 
+def _scale_constants_ok(nu: float | None, phi: float) -> bool:
+    """Whether the doubles that carry ``phi`` into the arithmetic are usable.
+
+    A Gaussian (``nu`` None) divides by ``2 phi^2``, its derivative by
+    ``phi^2``; both must be finite and positive.  A Matérn kernel scales
+    lags by ``2 sqrt(nu) phi``, which must be finite and positive, and for
+    ``nu > 1`` its derivative multiplies by ``2 nu phi^2 / (nu - 1)``,
+    which must be finite.  Computed with :mod:`math`, so that building a
+    kernel loads no SciPy.
+    """
+    if nu is None:
+        divisors = (phi * phi, 2.0 * phi * phi)
+        return all(math.isfinite(c) and c > 0 for c in divisors)
+    lag_scale = 2.0 * math.sqrt(nu) * phi
+    derivative = 2.0 * nu * (phi * phi) / (nu - 1.0) if nu > 1 else 0.0
+    return math.isfinite(lag_scale) and lag_scale > 0 and math.isfinite(derivative)
+
+
 @dataclass(frozen=True)
 class Kernel1d:
     """A one-dimensional correlation function.
@@ -169,6 +187,11 @@ class Kernel1d:
             )
         if not (math.isfinite(self.phi) and self.phi > 0):
             raise DomainError("scale phi must be positive and finite")
+        if not _scale_constants_ok(self.nu, self.phi):
+            raise DomainError(
+                f"scale phi={self.phi!r} is out of range: the kernel's scale "
+                "constant overflows or underflows"
+            )
 
     @property
     def differentiable(self) -> bool:

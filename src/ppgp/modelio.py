@@ -38,6 +38,7 @@ def _fmt(x: float) -> str:
 _FIELD_CODECS = {
     "float": (_fmt, float),
     "int": (str, int),
+    "int | None": (str, int),      # M, which train resolves to an int
     "bool": (lambda b: str(int(b)), lambda text: bool(int(text))),
 }
 

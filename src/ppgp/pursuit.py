@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,11 +81,16 @@ PAIR_CACHE_SIZE = 4
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for :func:`train`."""
+    """Hyperparameters for :func:`train`.
 
-    eta: float
-    epochs: int
-    M: int
+    ``M=None`` means :func:`default_node_count` of the training set;
+    :func:`train` resolves it, so a trained model's config holds an integer.
+    ``early_stop_rel`` 0 disables early stopping.
+    """
+
+    eta: float = 1e-9
+    epochs: int = 150
+    M: int | None = None
     early_stop_rel: float = 0.04
     seed: int = 0
     nugget: float = DEFAULT_NUGGET
@@ -98,7 +103,7 @@ class TrainConfig:
             raise DomainError("nugget must be finite and non-negative")
         if not math.isfinite(self.early_stop_rel):
             raise DomainError("early_stop_rel must be finite")
-        if self.M < 1:
+        if self.M is not None and self.M < 1:
             raise DomainError("node count M must be at least 1")
         if self.epochs < 1:
             raise DomainError("epochs must be at least 1")
@@ -273,10 +278,13 @@ def train(
     divergence: the loop falls back to the best weights seen so far
     (flagged ``diverged``), or at epoch 0 raises ``TrainingError``.
 
-    Returns the model refitted at the best-loss epoch.
+    Returns the model refitted at the best-loss epoch, whose config holds
+    the resolved node count.
     """
     X, Y = _training_data(X, Y, TrainingError)
     d = X.shape[1]
+    if cfg.M is None:
+        cfg = replace(cfg, M=default_node_count(*X.shape))
 
     W = init_weights(d, cfg.M, cfg.seed) if W0 is None else np.array(W0, dtype=float)
     if W.shape != (cfg.M, d):
@@ -307,7 +315,10 @@ def train(
             if ref - loss < cfg.early_stop_rel * abs(ref):
                 break
         if epoch < cfg.epochs:
-            W = W - cfg.eta * grad
+            # a step that overflows leaves W non-finite, which the next
+            # loss_and_gradient call turns into divergence
+            with np.errstate(over="ignore", invalid="ignore"):
+                W = W - cfg.eta * grad
 
     inner = fit(
         transform(best_W, X),

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ppgp import (ModelSpec, by_name, cli, dumps_model, halton, load_model, make_model,
-                  save_model)
+from ppgp import (ModelSpec, TrainConfig, by_name, cli, dumps_model, halton, load_model,
+                  make_model, save_model)
 from ppgp.evaluation import _experiment_seeds
 
 
@@ -220,8 +220,9 @@ class TestFitPredict:
                          "--out", str(tmp_path / "fit.csv")]) == 0
         U = halton(12, 2).points
         Y = by_name("xy-plus-x2").eval_unit(U)
-        spec = ModelSpec(method, eta=1e-8, epochs=5)
-        model = make_model(spec, U, Y, _experiment_seeds(3)[1])
+        spec = ModelSpec(method, config=TrainConfig(eta=1e-8, epochs=5,
+                                                    seed=_experiment_seeds(3)[1]))
+        model = make_model(spec, U, Y)
         assert model_path.read_text(encoding="ascii") == dumps_model(model)
 
     def test_corrupt_number_in_model_file_is_usage_error(self, tmp_path, capsys):
@@ -471,12 +472,51 @@ class TestExitCodes:
         assert cli.main(["frobnicate"]) == 1
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
-        for nugget in ("-1", "nan", "inf"):
-            rc = cli.main(["fit", "--function", "xy-plus-x2",
-                           "--method", "gp-iso", "--nugget", nugget,
-                           "--model-out", str(tmp_path / "m.txt")])
-            assert rc == 2
-            assert "numerical error" in capsys.readouterr().err
+        """At phi = 1e-300 the nu = 5.3 Bessel form gives nan correlations,
+        so the GP fit cannot factor its matrix: a numerical failure."""
+        rc = cli.main(["fit", "--function", "xy-plus-x2", "--method", "gp-iso",
+                       "--nu", "5.3", "--phi", "1e-300",
+                       "--model-out", str(tmp_path / "m.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "numerical error: correlation matrix could not be factored")
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_invalid_nugget_is_usage_error(self, tmp_path, capsys):
+        """The nugget is a TrainConfig value for every method, so a bad one
+        is refused before any fit, by the GP methods as by ppgpr."""
+        for method in ("gp-iso", "ppgpr"):
+            for nugget in ("-1", "nan", "inf"):
+                rc = cli.main(["fit", "--function", "xy-plus-x2", "--method", method,
+                               "--nugget", nugget, "--model-out", str(tmp_path / "m.txt")])
+                assert rc == 1
+                assert capsys.readouterr().err.startswith("error: nugget must be finite")
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_invalid_training_value_is_usage_error_for_gp_methods(self, tmp_path, capsys):
+        """bench-table builds one TrainConfig for all its methods, so a bad
+        eta is refused even when no method trains weights."""
+        out = tmp_path / "t.csv"
+        rc = cli.main(["bench-table", "--functions", "xy-plus-x2", "--methods", "gp-iso",
+                       "--eta", "-1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: learning rate eta")
+        assert not out.exists()
+
+    def test_memory_error_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        """A request too large to allocate exits 1 with the allocator's
+        message; the runner is replaced, so nothing is allocated."""
+        def too_large(cfg):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape "
+                              f"({cfg['resolution']},) and data type float64")
+
+        monkeypatch.setitem(cli._RUNNERS, "eval-grid", too_large)
+        out = tmp_path / "grid.csv"
+        rc = cli.main(["eval-grid", "--function", "xy-plus-x2",
+                       "--resolution", "100000000000", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate 745. GiB")
+        assert not out.exists()
 
 
 def _config_lines(path):
@@ -649,7 +689,10 @@ class TestRejectedValues:
         ["--early-stop-rel", "inf"],
         ["--nu", "1e308"],
         ["--method", "gp-iso", "--nu", "200"],
-    ], ids=["early-stop-nan", "early-stop-inf", "nu-overflow", "nu-bessel-nan"])
+        ["--phi", "1e308"],
+        ["--family", "gaussian", "--phi", "1e-200"],
+    ], ids=["early-stop-nan", "early-stop-inf", "nu-overflow", "nu-bessel-nan",
+            "phi-overflow", "gaussian-phi-underflow"])
     def test_unusable_training_value_is_usage_error(self, tmp_path, capsys, argv):
         """A value that would train on nan or raise OverflowError is refused
         before any training, and no model file is written."""
@@ -660,6 +703,24 @@ class TestRejectedValues:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["design", "--generator", "halton", "--n", "100000000000000000000", "--d", "2"],
+        ["fit", "--function", "xy-plus-x2", "--n-train", "12345678901234567890"],
+        ["fit", "--function", "xy-plus-x2", "--M", "12345678901234567890"],
+        ["design", "--generator", "halton", "--n", "3", "--d", "1",
+         "--seed", str(2**63)],
+        ["theory-check", "--n-list", "8,12345678901234567890"],
+    ], ids=["design-n", "fit-n-train", "fit-M", "design-seed", "theory-n-list"])
+    def test_oversized_integer_is_usage_error(self, tmp_path, capsys, argv):
+        """An integer past 2**63 - 1 is refused when the config is read,
+        before numpy is asked for an array that large."""
+        if argv[0] == "fit":
+            argv = argv + ["--model-out", str(tmp_path / "m.txt")]
+        assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+        assert "at most 9223372036854775807" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+        assert not (tmp_path / "m.txt").exists()
 
     def test_help_shows_defaults_next_to_help_text(self, capsys):
         assert cli.main(["fit", "--help"]) == 0
@@ -672,8 +733,8 @@ class TestRejectedValues:
 def small_ppgpr(tmp_path_factory):
     """A 2-input ppgpr model, in memory and saved, and a scratch directory."""
     U = halton(10, 2).points
-    model = make_model(ModelSpec("ppgpr", eta=1e-8, epochs=3), U,
-                       by_name("xy-plus-x2").eval_unit(U), weight_seed=0)
+    model = make_model(ModelSpec("ppgpr", config=TrainConfig(eta=1e-8, epochs=3)), U,
+                       by_name("xy-plus-x2").eval_unit(U))
     workdir = tmp_path_factory.mktemp("round-trip")
     save_model(model, workdir / "model.txt")
     return model, workdir
@@ -722,8 +783,7 @@ def model_files(small_ppgpr):
     points file, and a scratch directory."""
     _, workdir = small_ppgpr
     U = halton(8, 2).points
-    gp = make_model(ModelSpec("gp-iso"), U, by_name("xy-plus-x2").eval_unit(U),
-                    weight_seed=0)
+    gp = make_model(ModelSpec("gp-iso"), U, by_name("xy-plus-x2").eval_unit(U))
     points = workdir / "probe.csv"
     points.write_text("x1,x2\n0.1,0.2\n0.5,0.5\n0.9,0.3\n")
     texts = {"ppgpr": (workdir / "model.txt").read_text(encoding="ascii"),
@@ -777,6 +837,74 @@ def test_mutated_model_file_never_escapes_predict(model_files, kind, mutation, l
     with contextlib.redirect_stderr(err):
         rc = cli.main(["predict", "--model", str(model_path), "--points", str(points),
                        "--out", str(workdir / "pred.csv")])
+    assert rc in (0, 1, 2)
+    if rc:
+        assert err.getvalue().startswith(("error: ", "numerical error: "))
+
+
+_FUZZ_FLOATS = ["nan", "inf", "-inf", "-1", "0", "1e308", "5e-324", "", "oops"]
+_FUZZ_INTS = ["-1", "0", str(2**63), "12345678901234567890", "", "oops"]
+_INT_KINDS = ("int", "ints")
+# (subcommand, key, value): one numeric key of one subcommand set to one
+# extreme value; predict has no numeric key, so its value goes into a cell
+# of the points file (key None)
+_FUZZ_CASES = [
+    (sub, key.name, value)
+    for sub, keys in cli.SUBCOMMANDS.items()
+    for key in keys if key.kind in (*_INT_KINDS, "float", "floats")
+    for value in (_FUZZ_INTS if key.kind in _INT_KINDS else _FUZZ_FLOATS)
+] + [("predict", None, value) for value in _FUZZ_FLOATS]
+
+
+@pytest.fixture(scope="module")
+def fuzz_configs(small_ppgpr):
+    """A small valid config per subcommand (theory-check without draws),
+    and a scratch directory that holds a servable model file."""
+    _, workdir = small_ppgpr
+    configs = {
+        "design": {"generator": "halton", "n": "4", "d": "2"},
+        "fit": {"function": "xy-plus-x2", "n_train": "8", "epochs": "2", "M": "3",
+                "model_out": str(workdir / "fuzz-model.txt")},
+        "predict": {"model": str(workdir / "model.txt"),
+                    "points": str(workdir / "fuzz-points.csv")},
+        "eval-grid": {"function": "xy-plus-x2", "resolution": "3"},
+        "bench-table": {"functions": "xy-plus-x2", "methods": "gp-iso,ppgpr",
+                        "n_train": "8", "epochs": "2", "M": "3"},
+        "tune": {"function": "xy-plus-x2", "n_train": "8", "etas": "1e-8", "Ms": "3",
+                 "folds": "2", "epochs": "2"},
+        "theory-check": {"structures": "additive", "d": "1", "n_list": "4,8",
+                         "trials": "0"},
+    }
+    assert set(configs) == set(cli.SUBCOMMANDS)
+    return configs, workdir
+
+
+@example(case=("fit", "phi", "1e308"), via="flag")
+@example(case=("fit", "eta", "1e308"), via="config")
+@example(case=("design", "n", "12345678901234567890"), via="flag")
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=st.sampled_from(_FUZZ_CASES), via=st.sampled_from(["flag", "config"]))
+def test_extreme_value_never_escapes(fuzz_configs, case, via):
+    """Whatever extreme value one numeric key holds, given as a flag or in
+    a config file, in-process `ppgp` returns 0, 1 or 2; it never raises,
+    and a failure says why on stderr."""
+    configs, workdir = fuzz_configs
+    sub, name, value = case
+    cfg = dict(configs[sub])
+    points = workdir / "fuzz-points.csv"
+    points.write_text(f"x1,x2\n0.5,{value if name is None else 0.25}\n")
+    if name is not None:
+        cfg[name] = value
+    cfg["out"] = str(workdir / "fuzz-out.csv")
+    if via == "flag":
+        argv = [sub, *(f"--{k.replace('_', '-')}={v}" for k, v in cfg.items())]
+    else:
+        config_path = workdir / "fuzz.cfg"
+        config_path.write_text("".join(f"{k}={v}\n" for k, v in cfg.items()))
+        argv = [sub, "--config", str(config_path)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
     assert rc in (0, 1, 2)
     if rc:
         assert err.getvalue().startswith(("error: ", "numerical error: "))

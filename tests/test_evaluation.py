@@ -7,6 +7,7 @@ from ppgp import (
     ConfigError,
     DomainError,
     GpModel,
+    Kernel1d,
     MetricError,
     ModelSpec,
     PpgprModel,
@@ -17,12 +18,15 @@ from ppgp import (
     cross_validate,
     default_node_count,
     fold_indices,
+    gaussian,
     halton,
     make_model,
+    matern,
     rmse,
     rmse_absolute,
     run_experiment,
 )
+from ppgp.evaluation import _experiment_seeds
 
 
 class TestRmse:
@@ -133,7 +137,7 @@ class TestTuneGrid:
         U = halton(12, 2).points
         grid = TuneGrid(
             etas=(1e-8, 1e-9), Ms=(4, 3), folds=2,
-            kernels=(("matern", 2.5, 1.0), ("gaussian", 2.5, 0.5)),
+            kernels=(matern(2.5, 1.0), Kernel1d("gaussian", 2.5, 0.5)),
         )
         _, table = cross_validate(U, fn.eval_unit(U), grid, seed=0, epochs=2)
         got = [(r["grid_index"], r["family"], r["nu"], r["phi"], r["M"], r["eta"],
@@ -212,30 +216,32 @@ class TestModelSpec:
 
     def test_training_defaults_come_from_train_config(self):
         spec = ModelSpec("ppgpr")
-        assert spec.early_stop_rel == TrainConfig.early_stop_rel
-        assert spec.nugget == TrainConfig.nugget
-        assert spec.center == TrainConfig.center
-        assert spec.M is None
+        assert spec.config == TrainConfig()
+        assert spec.kernel == matern(2.5)
+        assert spec.config.M is None
 
     def test_kernel_is_checked_when_the_spec_is_made(self):
-        """The spec's nu is the kernel's own: None for a Gaussian, and a bad
-        family, nu or phi is rejected on construction, not at fit time."""
-        assert ModelSpec("gp-iso", family="gaussian").nu is None
-        assert ModelSpec("ppgpr", family="gaussian", nu=1.5).nu is None
-        assert ModelSpec("ppgpr", nu=1.5).nu == 1.5
+        """The spec holds a Kernel1d, whose nu is None for a Gaussian; a
+        bad method, family, nu or phi is rejected on construction, not at
+        fit time."""
+        assert ModelSpec("gp-iso", gaussian()).kernel.nu is None
+        assert ModelSpec("ppgpr", Kernel1d("gaussian", 1.5)).kernel.nu is None
+        assert ModelSpec("ppgpr", matern(1.5)).kernel.nu == 1.5
+        with pytest.raises(ConfigError):
+            ModelSpec("kriging")
         for bad in ({"family": "foo"}, {"nu": None}, {"nu": -1.0}, {"phi": 0.0}):
             with pytest.raises(DomainError):
-                ModelSpec("gp-iso", **bad)
+                Kernel1d(**{"family": "matern", "nu": 2.5, **bad})
 
     def test_factory_builds_each_method(self):
         U = halton(12, 2).points
         Y = by_name("xy-plus-x2").eval_unit(U)
         structures = {"gp-iso": "isotropic", "gp-pro": "product", "gp-add": "additive"}
         for method, structure in structures.items():
-            model = make_model(ModelSpec(method, nugget=1e-5), U, Y, 0)
+            model = make_model(ModelSpec(method, config=TrainConfig(nugget=1e-5)), U, Y)
             assert isinstance(model, GpModel)
             assert model.kernel.structure == structure and model.nugget == 1e-5
-        model = make_model(ModelSpec("ppgpr", epochs=2), U, Y, 7)
+        model = make_model(ModelSpec("ppgpr", config=TrainConfig(epochs=2, seed=7)), U, Y)
         assert isinstance(model, PpgprModel)
         assert model.M == default_node_count(12, 2)
         assert model.config.seed == 7 and model.config.epochs == 2
@@ -253,11 +259,13 @@ class TestRunExperiment:
 
     def test_report_fields(self):
         rep = run_experiment("gp-iso", "borehole", n_train=20, n_test=50,
-                             seed=3, family="gaussian")
-        assert rep.spec == ModelSpec("gp-iso", family="gaussian", nu=None)
+                             seed=3, kernel=gaussian())
+        # the spec as built: its config holds the weight seed
+        weight_seed = _experiment_seeds(3)[1]
+        assert rep.spec == ModelSpec("gp-iso", gaussian(), TrainConfig(seed=weight_seed))
         assert rep.spec.method == "gp-iso"
-        assert rep.spec.center is True
-        assert rep.spec.nu is None
+        assert rep.spec.config.center is True
+        assert rep.spec.kernel.nu is None
         assert rep.function == "borehole"
         assert rep.n_train == 20
         assert rep.n_test == 50
@@ -265,10 +273,11 @@ class TestRunExperiment:
         assert rep.rmse >= 0.0 and np.isfinite(rep.rmse)
         assert rep.rmse_abs >= 0.0 and np.isfinite(rep.rmse_abs)
         assert rep.diverged is False
-        # the spec as built: ppgpr's node count M is resolved from the data
+        # ppgpr's node count M is resolved from the data
         rep = run_experiment("ppgpr", "borehole", n_train=20, n_test=20,
                              seed=0, epochs=2)
-        assert rep.spec == ModelSpec("ppgpr", epochs=2, M=default_node_count(20, 8))
+        assert rep.spec == ModelSpec("ppgpr", config=TrainConfig(
+            epochs=2, M=default_node_count(20, 8), seed=_experiment_seeds(0)[1]))
 
     def test_default_training_size_is_5d(self):
         rep = run_experiment("gp-add", "otl-circuit", n_test=20, seed=0)

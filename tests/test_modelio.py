@@ -341,3 +341,15 @@ class TestFileAndErrors:
     def test_unserializable_object_rejected(self):
         with pytest.raises(ModelFormatError):
             dumps_model({"not": "a model"})
+
+    def test_missing_inner_section_rejected(self):
+        text = dumps_model(_PPGPR)
+        assert text.count("\ninner\n") == 1
+        with pytest.raises(ModelFormatError, match="expected 'inner' section"):
+            loads_model(text.replace("\ninner\n", "\n"))
+
+    def test_unwritable_path_is_format_error(self, tmp_path):
+        path = tmp_path / "missing" / "model.txt"
+        with pytest.raises(ModelFormatError, match="cannot write model file"):
+            save_model(_PPGPR, path)
+        assert not path.parent.exists()

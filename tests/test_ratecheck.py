@@ -130,6 +130,16 @@ class TestSupErrorCurve:
         with pytest.raises(DomainError):
             sup_error_curve("additive", 2.5, 2, [10, 20], grid_budget=10000)
 
+    def test_grid_budget_rounds_down_to_a_square(self):
+        """In 2-d a budget of 24 rounds sqrt(24) to 5 per axis, whose 25
+        points exceed it, so the grid steps down to 4 x 4: the rows equal
+        those of a budget of exactly 16."""
+        rows = [sup_error_curve("additive", 2.5, 2, [4, 8], trials=1, seed=0,
+                                grid_budget=budget) for budget in (24, 16)]
+        assert rows[0] == rows[1]
+        assert rows[0] != sup_error_curve("additive", 2.5, 2, [4, 8], trials=1, seed=0,
+                                          grid_budget=25)
+
     def test_additive_rate_beats_isotropic_in_2d(self):
         """Structure-aware decay: additive sup error falls clearly faster.
 

@@ -109,3 +109,34 @@ def test_overflowing_bessel_normalizer_rejected_without_scipy():
     values; the check loads no SciPy."""
     out = _fresh(_NU_RANGE, [])
     assert out == {"rejected": [1e308, 2000.0, 200.0, 151.2], "scipy": []}
+
+
+_PHI_RANGE = f"""
+import json, sys
+from ppgp import DomainError, gaussian, matern
+rejected = []
+for name, make in (("matern 1e308", lambda: matern(2.5, 1e308)),
+                   ("matern 1e160", lambda: matern(2.5, 1e160)),
+                   ("matern 1e-300", lambda: matern(5.3, 1e-300)),
+                   ("matern 1/2 1e308", lambda: matern(0.5, 1e308)),
+                   ("gaussian 1e-200", lambda: gaussian(1e-200)),
+                   ("gaussian 1e155", lambda: gaussian(1e155)),
+                   ("gaussian 1e-150", lambda: gaussian(1e-150))):
+    try:
+        make()
+    except DomainError as exc:
+        rejected.append(name)
+        assert "phi" in str(exc), exc
+print(json.dumps({{"rejected": rejected, "scipy": {_SCIPY_LOADED}}}))
+"""
+
+
+def test_out_of_range_scale_rejected_without_scipy():
+    """A phi whose scale constants are not usable doubles is a DomainError
+    at construction: Matérn's lag scale 2 sqrt(nu) phi or derivative factor
+    2 nu phi^2 / (nu - 1) overflowing, or a Gaussian's 2 phi^2 overflowing
+    or underflowing to 0, where evaluation raised OverflowError or divided
+    by zero.  The check loads no SciPy."""
+    out = _fresh(_PHI_RANGE, [])
+    assert out == {"rejected": ["matern 1e308", "matern 1e160", "gaussian 1e-200",
+                                "gaussian 1e155"], "scipy": []}
