@@ -418,6 +418,7 @@ def _run_eval_grid(cfg: dict) -> tuple[str, list[str]]:
     res = cfg["resolution"]
     if res < 2:
         raise ConfigError("resolution must be at least 2")
+    designs._check_size(res * res, 2)
     axis = np.linspace(0.0, 1.0, res)
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([g1.ravel(), g2.ravel()], axis=1)

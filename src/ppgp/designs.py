@@ -44,6 +44,16 @@ class Design:
     points: np.ndarray
 
 
+def _check_size(n: int, d: int) -> None:
+    """Reject ``n`` points in ``d`` dimensions that no float array can hold.
+
+    numpy refuses an array of more than ``intp`` max bytes with a bare
+    ``ValueError``; a larger request is a domain error here instead.
+    """
+    if n * d > np.iinfo(np.intp).max // 8:
+        raise DomainError(f"{n} points in {d} dimensions exceed the largest float array")
+
+
 def _radical_inverse(i: int, base: int) -> float:
     f, r = 1.0, 0.0
     while i > 0:
@@ -64,6 +74,7 @@ def halton(n: int, d: int) -> Design:
         raise DomainError("n must be at least 1")
     if not 1 <= d <= len(_PRIMES):
         raise DomainError(f"halton supports 1 <= d <= {len(_PRIMES)}, got {d}")
+    _check_size(n, d)
     pts = np.empty((n, d))
     for j in range(d):
         base = _PRIMES[j]
@@ -82,6 +93,7 @@ def randomized_lhs(n: int, d: int, seed: int) -> Design:
     """
     if n < 1 or d < 1:
         raise DomainError("n and d must be at least 1")
+    _check_size(n, d)
     rng = np.random.default_rng(seed)
     pts = np.empty((n, d))
     for j in range(d):
@@ -95,6 +107,7 @@ def uniform_random(n: int, d: int, seed: int) -> Design:
     """n i.i.d. uniform points in the unit cube."""
     if n < 1 or d < 1:
         raise DomainError("n and d must be at least 1")
+    _check_size(n, d)
     rng = np.random.default_rng(seed)
     return Design(points=rng.random((n, d)))
 

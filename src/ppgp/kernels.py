@@ -230,8 +230,13 @@ class Kernel1d:
         """
         t = _finite_lags(t)
         if t.ndim == 0:
-            val, der = self.value_and_derivative(t.reshape(1))
+            val, der = self._value_and_derivative(t.reshape(1))
             return float(val[0]), float(der[0])
+        return self._value_and_derivative(t)
+
+    def _value_and_derivative(self, t: np.ndarray):
+        """The body of :meth:`value_and_derivative` at a float array ``t``
+        of lags the caller has already found finite."""
         phi = self.phi
         # the temporaries are updated in place: this runs over every lag of
         # a training step

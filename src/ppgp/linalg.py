@@ -4,24 +4,39 @@ Everything is dense and delegated to LAPACK; the models built on it
 typically have n <= 100 training points, where the fixed cost of a call
 outweighs its arithmetic, so the helpers call the routines directly:
 
-* :func:`cholesky_with_jitter` factors through ``np.linalg.cholesky``
-  (LAPACK ``potrf`` behind numpy's wrapper).  scipy's ``dpotrf`` is
-  cheaper to call, but numpy and scipy each bundle their own OpenBLAS,
-  and on correlation matrices from n = 12 up (numpy 2.4, scipy 1.17) its
-  factor differs from numpy's in the last bits; stored models and loss
-  traces keep numpy's.
-* :func:`solve_spd` and :func:`inverse_spd` call ``dpotrs`` from
-  ``scipy.linalg.lapack``; the inverse solves against the identity.  This
-  is what ``scipy.linalg.cho_solve`` does, without its argument checks,
-  and gives the same bits.
+* :func:`cholesky_with_jitter` factors a column-major copy of ``A + delta I``
+  in place with ``dpotrf`` from ``scipy.linalg.lapack``.
+* :func:`solve_spd` and :func:`inverse_spd` call ``dpotrs`` from the same
+  module; the inverse solves against the identity.  This is what
+  ``scipy.linalg.cho_solve`` does, without its argument checks, and gives
+  the same bits.  The factor is column-major, so f2py passes it to
+  ``dpotrs`` without a copy.
 * :func:`logdet` sums the logs of the factor's diagonal.
 
-``scipy.linalg`` is imported inside :func:`_potrs`, on the first solve, not
-with this module.  Loading it pulls in SciPy's array-API layer (among others
-``numpy.testing`` and ``numpy.f2py``), which more than doubles the start-up
-of a command that never factors a matrix, such as ``ppgp predict``.  Once
-loaded, the import statement is a lookup in ``sys.modules``, under a
-microsecond against the tens of microseconds of a solve.
+The factor and the solves run in one library on purpose.  numpy and scipy
+each bundle their own OpenBLAS, each with its own pool of worker threads
+that spin while they wait for work, and both pools go parallel well below
+the sizes a training reaches: over 300 calls on 2 vCPUs, numpy's
+``cholesky`` and scipy's ``dpotrf`` each used 1.98 CPU seconds per wall
+second at n = 400 (1.00 at n = 32), and ``dpotrs`` against the identity
+1.49 at n = 32 and 1.98 at n = 400.  A training step that factors in
+numpy and inverts in scipy keeps both pools spinning against each other.
+With everything in scipy, one n = 400, M = 40 step of
+:func:`ppgp.pursuit.loss_and_gradient` went from a median of 117 ms to
+77 ms on that machine, and in a traced 20-epoch n = 400 training the
+factor went from 6.2 to 2.6 ms a call and the inverse from 13.7 to
+5.9 ms, with the same calls and the same lag count.  No thread count is
+set: the gain is contention removed, not work skipped.  From n = 12 up
+(numpy 2.4, scipy 1.17) scipy's factor differs from numpy's in the last
+bits, so loss traces and stored models carry ``dpotrf``'s bits.
+
+``scipy.linalg`` is imported inside :func:`cholesky_with_jitter` and
+:func:`_potrs`, on the first factor, not with this module.  Loading it
+pulls in SciPy's array-API layer (among others ``numpy.testing`` and
+``numpy.f2py``), which more than doubles the start-up of a command that
+never factors a matrix, such as ``ppgp predict``.  Once loaded, the
+import statement is a lookup in ``sys.modules``, under a microsecond
+against the tens of microseconds of a factor or a solve.
 """
 
 from __future__ import annotations
@@ -89,20 +104,28 @@ def cholesky_with_jitter(A: np.ndarray, delta0: float = 0.0) -> CholFactor:
     if not (math.isfinite(delta0) and delta0 >= 0):
         raise SingularMatrixError(f"delta0 must be finite and non-negative (got {delta0})")
 
+    # dpotrf reads the lower triangle of A.  When A equals its transpose,
+    # A.T is the same matrix, and for a row-major A it is the column-major
+    # one: copying it is a plain copy, not a transposing one.
+    src = A.T if asym == 0.0 and A.flags.c_contiguous else A
+    from scipy.linalg.lapack import dpotrf   # loaded on first use; see the module docstring
+
     delta = float(delta0)
     while True:
-        shifted = A.copy()
+        shifted = np.array(src, order="F")
         shifted.flat[:: A.shape[0] + 1] += delta      # A + delta * I
-        try:
-            L = np.linalg.cholesky(shifted)
+        L, info = dpotrf(shifted, lower=1, clean=1, overwrite_a=1)
+        if info < 0:
+            raise SingularMatrixError(f"dpotrf rejected argument {-info}")
+        if info == 0:
             return CholFactor(lower=L, jitter_used=delta)
-        except np.linalg.LinAlgError:
-            if delta >= JITTER_MAX:
-                raise SingularMatrixError(
-                    f"cholesky failed for {A.shape[0]}x{A.shape[0]} matrix even "
-                    f"at jitter {JITTER_MAX:g}; max |A - A^T| entry is {asym:.3e}"
-                ) from None
-            delta = JITTER_FLOOR if delta == 0.0 else min(delta * 10.0, JITTER_MAX)
+        # info > 0: the leading minor of order info is not positive definite
+        if delta >= JITTER_MAX:
+            raise SingularMatrixError(
+                f"cholesky failed for {A.shape[0]}x{A.shape[0]} matrix even "
+                f"at jitter {JITTER_MAX:g}; max |A - A^T| entry is {asym:.3e}"
+            )
+        delta = JITTER_FLOOR if delta == 0.0 else min(delta * 10.0, JITTER_MAX)
 
 
 def _potrs(F: CholFactor, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:

@@ -233,7 +233,8 @@ def loss_and_gradient(
         # take gathers rows about twice as fast as T[iu[block]] at these
         # sizes, with the same bits
         lags = T.take(iu[block], axis=0) - T.take(ju[block], axis=0)
-        k, dk[block] = kernel1d.value_and_derivative(lags)
+        # every lag is bounded by its column's spread, checked finite above
+        k, dk[block] = kernel1d._value_and_derivative(lags)
         k_pairs[block] = kernel.combine(k)
     K = np.empty((X.shape[0], X.shape[0]))
     K[iu, ju] = K[ju, iu] = k_pairs

@@ -722,6 +722,19 @@ class TestRejectedValues:
         assert not (tmp_path / "out.csv").exists()
         assert not (tmp_path / "m.txt").exists()
 
+    @pytest.mark.parametrize("argv", [
+        *(["design", "--generator", g, "--n", str(2**62), "--d", "4"]
+          for g in ("halton", "randomized-lhs", "uniform-random")),
+        ["eval-grid", "--function", "xy-plus-x2", "--resolution", str(2**62)],
+    ], ids=["halton", "randomized-lhs", "uniform-random", "eval-grid"])
+    def test_array_past_the_address_space_is_usage_error(self, tmp_path, capsys, argv):
+        """Sizes under 2**63 whose float array has more bytes than numpy can
+        address are refused before any allocation (numpy would raise a bare
+        ValueError, not a MemoryError, before allocating)."""
+        assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+        assert "exceed the largest float array" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_help_shows_defaults_next_to_help_text(self, capsys):
         assert cli.main(["fit", "--help"]) == 0
         text = " ".join(capsys.readouterr().out.split())

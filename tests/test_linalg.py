@@ -2,7 +2,7 @@
 
 Oracles: hand 2x2 Cholesky factors, eigenvalue decompositions computed
 directly with numpy, residual norms of reconstructed systems, and the
-bits of ``np.linalg.cholesky`` and ``scipy.linalg.cho_solve``.
+bits of scipy's ``dpotrf`` and ``scipy.linalg.cho_solve``.
 """
 
 import math
@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf
 
 from ppgp import (
     MultivariateKernel,
@@ -190,27 +191,36 @@ class TestLogdetAndInverse:
 
 
 class TestLapackPathBits:
-    """The helpers reproduce the bits of the numpy and scipy routines they
-    stand in for: ``np.linalg.cholesky(A + delta I)`` for the factor and
-    ``scipy.linalg.cho_solve`` for the solves and the inverse."""
+    """The helpers reproduce the bits of the scipy routines they stand in
+    for: ``dpotrf(A + delta I, lower=1, clean=1)`` for the factor and
+    ``scipy.linalg.cho_solve`` for the solves and the inverse.  The factor's
+    accuracy is checked directly too, against the Cholesky backward error
+    bound, not through agreement with another library."""
 
     SIZES = (1, 5, 32, 40, 100)
 
     @staticmethod
     def factor(n):
         """A Matérn correlation matrix and its factor at nugget 1e-6; from
-        n = 32 on, scipy's dpotrf factors these in other bits than numpy."""
+        n = 32 on, numpy's cholesky factors these in other bits than
+        scipy's dpotrf."""
         rng = np.random.default_rng(n)
         A = MultivariateKernel(matern(2.5), "additive", 8).gram(rng.random((n, 8)))
         return A, cholesky_with_jitter(A, 1e-6), rng
 
     @pytest.mark.parametrize("n", SIZES)
-    def test_factor_matches_numpy_cholesky(self, n):
-        """The lower factor is numpy's factor of A + delta I, bit for bit."""
+    def test_factor_matches_scipy_dpotrf(self, n):
+        """The lower factor is dpotrf's factor of A + delta I, bit for bit,
+        and reproduces A + delta I within (n + 1) eps max |A|: the Cholesky
+        backward error plus the rounding of the product L L^T."""
         A, f, _ = self.factor(n)
-        expected = np.linalg.cholesky(A + 1e-6 * np.eye(n))
+        shifted = A + 1e-6 * np.eye(n)
+        expected, info = dpotrf(shifted, lower=1, clean=1)
+        assert info == 0
         assert f.jitter_used == 1e-6
         assert f.lower.tobytes() == expected.tobytes()
+        err = np.max(np.abs(f.lower @ f.lower.T - shifted))
+        assert err <= (n + 1) * np.finfo(float).eps * np.max(np.abs(A))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_solves_match_cho_solve(self, n):

@@ -582,3 +582,24 @@ def test_cholesky_rejects_non_square_matrix():
 
     with pytest.raises(SingularMatrixError, match="expected a square matrix"):
         cholesky_with_jitter(np.ones((2, 3)))
+
+
+def test_factors_solves_and_inverses_skip_numpy_linalg(monkeypatch):
+    """Training, fitting and prediction factor, solve and invert in scipy's
+    LAPACK alone: numpy bundles a second OpenBLAS whose worker threads would
+    compete with scipy's.  The factor is column-major, as dpotrs takes it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("cholesky", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    U = halton(30, 2).points
+    Y = by_name("xy-plus-x2").eval_unit(U)
+    X = uniform_random(5, 2, 1).points
+    model = train(U, Y, matern(2.5), TrainConfig(eta=1e-3, epochs=3, M=4))
+    gp = fit(U, Y, MultivariateKernel(matern(2.5), "product", 2))
+    assert len(model.trace) >= 2
+    assert np.all(np.isfinite(model.predict(X)))
+    assert np.all(np.isfinite(gp.predict(X)))
+    assert np.all(gp.p_squared(X) >= 0.0)
+    assert cholesky_with_jitter(gp.kernel.gram(U), 1e-6).lower.flags.f_contiguous

@@ -77,7 +77,7 @@ def test_serving_commands_load_no_scipy(files):
 
 
 def test_scipy_loads_at_first_use(files):
-    """A fit loads scipy.linalg at its first solve; only a Matérn kernel of
+    """A fit loads scipy.linalg at its first factor; only a Matérn kernel of
     general smoothness loads scipy.special."""
     workdir, _, _ = files
     loaded = _fresh(_TRAIN, [
