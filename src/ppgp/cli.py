@@ -28,6 +28,7 @@ Exit codes: 0 success, 1 usage or config error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from collections.abc import Iterator
@@ -313,8 +314,17 @@ def _header_comments(sub: str, cfg: dict) -> list[str]:
 
 
 def _csv(header: str, rows) -> str:
-    """CSV text: the ``header`` line, then one line per row of values."""
-    return header + "\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+    """CSV text: the ``header`` line, then one line per row of values.
+
+    The rows of a numeric array are read through ``tolist``, whose Python
+    floats and ints ``repr`` exactly as :func:`_fmt` renders them, so a
+    table of a thousand rows makes no call per cell.
+    """
+    if isinstance(rows, np.ndarray):
+        lines = (",".join(map(repr, row)) for row in rows.tolist())
+    else:
+        lines = (",".join(map(_fmt, row)) for row in rows)
+    return header + "\n" + "".join(line + "\n" for line in lines)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -406,7 +416,7 @@ def _run_predict(cfg: dict) -> tuple[str, list[str]]:
             f"{float(pts[i, j])!r}, outside the unit cube [0, 1]"
         )
     header = ",".join([*(f"x{j + 1}" for j in range(d)), "prediction"])
-    return _csv(header, ([*row, p] for row, p in zip(pts, model.predict(pts)))), []
+    return _csv(header, np.column_stack([pts, model.predict(pts)])), []
 
 
 def _run_eval_grid(cfg: dict) -> tuple[str, list[str]]:
@@ -428,7 +438,7 @@ def _run_eval_grid(cfg: dict) -> tuple[str, list[str]]:
     else:
         vals = fn.eval_unit(pts)
         source = "function"
-    body = _csv("x1,x2,value", ([u1, u2, v] for (u1, u2), v in zip(pts, vals)))
+    body = _csv("x1,x2,value", np.column_stack([pts, vals]))
     return body, [f"# values from {source}"]
 
 
@@ -492,7 +502,10 @@ _RUNNERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, and every parse starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="ppgp",
         description="Gaussian-process and projection-pursuit surrogate modeling.",
@@ -513,9 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems; remap to our usage code
         return 0 if exc.code in (0, None) else 1

@@ -1,8 +1,11 @@
 """Plain Gaussian-process regression with a cached Cholesky factorization.
 
 A fitted model stores the lower factor of ``K + delta * I`` and the weight
-vector ``alpha = (K + delta I)^-1 Y``, so prediction is a dot product with
-the cross-correlation vector.  Responses are centered by their sample mean
+vector ``alpha = (K + delta I)^-1 Y``, so the posterior mean at ``x`` is
+``sum_j alpha_j k(x, x_j)``.  For isotropic and product kernels that is a
+dot product with the cross-correlation vector; an additive kernel is a mean
+of one-dimensional correlations, so its sum is taken per coordinate and the
+coordinate sums are averaged.  Responses are centered by their sample mean
 by default (the prior is mean zero and raw simulator outputs usually are
 not); the mean is added back at prediction time.
 """
@@ -44,16 +47,17 @@ class GpModel:
     def predict(self, X) -> np.ndarray:
         """Posterior-mean predictions at the rows of ``X`` (m x dim).
 
-        The cross-correlations come from :meth:`MultivariateKernel.cross`
-        in row blocks, so memory is O(m n) for ``r`` plus one bounded
-        block, never an m x n x dim lag tensor.  The reduction is written
-        as an explicit einsum so each output element is accumulated
-        identically whatever the batch size; batch predictions match
-        single-point predictions bit for bit.
+        ``sum_j alpha_j k(x, x_j)`` comes from the kernel in row blocks,
+        never from an m x n x dim lag tensor.  Isotropic and product
+        kernels take a dot product with the m x n cross-correlations; an
+        additive kernel sums ``alpha``-weighted base values over the design
+        per coordinate, then averages each row's sorted coordinate sums, so
+        it builds no m x n matrix and its predictions do not depend on the
+        order of the coordinates.  Every row is accumulated identically
+        whatever the batch size or memory layout of ``X``: batch
+        predictions match single-point predictions bit for bit.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        r = self.kernel.cross(X, self.design)
-        return np.einsum("ij,j->i", r, self.alpha) + self.center_mean
+        return self.kernel._cross_dot(X, self.design, self.alpha) + self.center_mean
 
     def p_squared(self, X) -> np.ndarray:
         """Normalized predictive variance ``1 - r^T (K + delta I)^-1 r``.

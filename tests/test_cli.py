@@ -6,6 +6,10 @@ output files can be checked directly.
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import ppgp
 from ppgp import (ModelSpec, TrainConfig, by_name, cli, dumps_model, halton, load_model,
                   make_model, save_model)
 from ppgp.evaluation import _experiment_seeds
+
+_SRC = str(Path(ppgp.__file__).resolve().parents[1])
 
 
 def _body_lines(path):
@@ -535,6 +542,42 @@ def served(tmp_path):
     points_path = tmp_path / "points.csv"
     points_path.write_text("x1,x2\n0.5,0.5\n0.25,0.75\n")
     return model_path, points_path
+
+
+def _below_comments(text):
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
+def test_cached_parser_keeps_main_stateless(served, tmp_path, capsys, monkeypatch):
+    """``main`` reuses one parser per process.  A usage error, a predict,
+    ``fit --help`` and a predict from ``--config``, run in that order in
+    one process, each give the exit code, output below the ``#`` lines and
+    error text that the same call gives first in a fresh interpreter."""
+    model_path, points_path = served
+    other_points = tmp_path / "other.csv"
+    other_points.write_text("0.125,0.875\n", encoding="utf-8")
+    config = tmp_path / "predict.cfg"
+    config.write_text(f"model={model_path}\npoints={points_path}\n", encoding="utf-8")
+    calls = [
+        ["fit", "--function", "xy-plus-x2", "--no-such-key", "1"],
+        ["predict", "--model", str(model_path), "--points", str(other_points)],
+        ["fit", "--help"],
+        ["predict", "--config", str(config)],
+    ]
+    # help and usage text wrap at the terminal width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=_SRC if not path else _SRC + os.pathsep + path)
+    script = "import sys; from ppgp import cli; sys.exit(cli.main(sys.argv[1:]))"
+    codes = []
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        codes.append(cli.main(argv))
+        got = capsys.readouterr()
+        assert (codes[-1], _below_comments(got.out), got.err) == (
+            fresh.returncode, _below_comments(fresh.stdout), fresh.stderr), argv
+    assert codes == [1, 0, 0, 0]
 
 
 class TestConfigReplay:

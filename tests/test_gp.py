@@ -13,13 +13,18 @@ import pytest
 from ppgp import (
     DEFAULT_NUGGET,
     FitError,
+    ModelSpec,
     MultivariateKernel,
+    TrainConfig,
     by_name,
     fit,
+    gaussian,
     halton,
+    make_model,
     matern,
     randomized_lhs,
     rmse_absolute,
+    transform,
     uniform_random,
 )
 from ppgp.kernels import BLOCK_LAGS
@@ -274,36 +279,77 @@ class TestPermutationInvariance:
     """Coordinate relabeling must not change structured predictions."""
 
     def test_predictions_bit_identical_under_permutation(self):
-        """Additive and product fits commute with coordinate permutations."""
+        """Additive and product fits commute with coordinate permutations,
+        at 2, 4 and 9 inputs.
+
+        ``Xt[:, perm]`` is F-ordered.  numpy sums 8 or more values along a
+        contiguous axis pairwise and along a strided one in sequence, so at
+        9 inputs the two agree only because the kernel makes the points
+        C-ordered first.
+        """
         rng = np.random.default_rng(9)
-        X = uniform_random(18, 4, 2).points
-        Y = rng.normal(size=18)
-        Xt = uniform_random(50, 4, 3).points
-        perm = np.array([2, 0, 3, 1])
-        for structure in ("additive", "product"):
-            kernel = MultivariateKernel(base=matern(2.5), structure=structure, dim=4)
-            m = fit(X, Y, kernel)
-            mp = fit(X[:, perm], Y, kernel)
-            assert np.array_equal(m.predict(Xt), mp.predict(Xt[:, perm]))
+        for d, perm in ((4, np.array([2, 0, 3, 1])), (2, np.array([1, 0])),
+                        (9, np.array([4, 8, 0, 6, 2, 7, 1, 5, 3]))):
+            X = uniform_random(18, d, 2).points
+            Y = rng.normal(size=18)
+            Xt = uniform_random(50, d, 3).points
+            for structure in ("additive", "product"):
+                kernel = MultivariateKernel(base=matern(2.5), structure=structure, dim=d)
+                m = fit(X, Y, kernel)
+                mp = fit(X[:, perm], Y, kernel)
+                assert np.array_equal(m.predict(Xt), mp.predict(Xt[:, perm])), (d, structure)
 
     def test_batch_predict_equals_single_predicts(self):
         """predict on a matrix equals one-row predicts, bitwise,
-        also for a batch spanning several row blocks of cross."""
-        X = halton(12, 3).points
-        Y = X[:, 0] + 2.0 * X[:, 1] ** 2 + np.sin(X[:, 2])
-        rows_per_block = BLOCK_LAGS // (12 * 3)
-        batches = (uniform_random(40, 3, 4).points,
-                   uniform_random(3 * rows_per_block + 5, 3, 5).points)
-        for kernel in (add_kernel(3), prod_kernel(3), iso_kernel(3)):
-            m = fit(X, Y, kernel)
-            for Xt in batches:
-                batch = m.predict(Xt)
-                singles = np.array([m.predict(x[None, :])[0] for x in Xt])
-                assert np.array_equal(batch, singles), kernel.structure
+        also for a batch spanning several row blocks of cross, and for an
+        F-ordered batch of 9 inputs, whose layout would otherwise change the
+        order of numpy's sums."""
+        for d, seed in ((3, 4), (9, 6)):
+            X = halton(12, d).points
+            Y = X[:, 0] + 2.0 * X[:, 1] ** 2 + np.sin(X[:, 2])
+            rows_per_block = BLOCK_LAGS // (12 * d)
+            batches = (uniform_random(40, d, seed).points,
+                       uniform_random(3 * rows_per_block + 5, d, seed + 1).points)
+            if d == 9:
+                batches = (np.asfortranarray(batches[1]),)
+            for kernel in (add_kernel(d), prod_kernel(d), iso_kernel(d)):
+                m = fit(X, Y, kernel)
+                for Xt in batches:
+                    batch = m.predict(Xt)
+                    singles = np.array([m.predict(x[None, :])[0] for x in Xt])
+                    assert np.array_equal(batch, singles), (d, kernel.structure)
+
+
+class TestAdditivePredictPath:
+    """Additive kernels predict from per-coordinate sums over the design,
+    not from the m x n cross-correlation matrix."""
+
+    @pytest.mark.parametrize("method", ["gp-add", "ppgpr"])
+    @pytest.mark.parametrize("base", [matern(1.5), matern(2.5), matern(3.5), matern(2.2),
+                                      gaussian(0.5)],
+                             ids=["matern1.5", "matern2.5", "matern3.5", "matern2.2",
+                                  "gaussian"])
+    def test_matches_the_cross_correlation_product(self, method, base):
+        """Predictions equal ``cross(X, Z) @ alpha + mean`` to rounding: within
+        1e-12 of ``|cross| @ |alpha| + |mean|``, the size of the terms summed.
+
+        Borehole responses are O(10-100) with a mean that cancels most of the
+        sum, so the bound is relative to the terms, not to the prediction.
+        """
+        U = halton(24, 8).points
+        spec = ModelSpec(method, base, TrainConfig(eta=1e-8, epochs=3, M=10))
+        model = make_model(spec, U, by_name("borehole").eval_unit(U))
+        gp = model if method == "gp-add" else model.inner
+        Xt = uniform_random(200, 8, 3).points
+        Z = Xt if method == "gp-add" else transform(model.W, Xt)
+        R = gp.kernel.cross(Z, gp.design)
+        expected = R @ gp.alpha + gp.center_mean
+        scale = np.abs(R) @ np.abs(gp.alpha) + abs(gp.center_mean)
+        assert np.all(np.abs(model.predict(Xt) - expected) <= 1e-12 * scale)
 
 
 class TestPredictMemory:
-    """predict works through cross in row blocks, never an m x n x dim tensor."""
+    """predict works in row blocks, never on an m x n x dim tensor."""
 
     def test_peak_traced_memory_of_500_point_predict(self):
         """n=400, M=40 additive model: one 500-point predict stays <= 16 MB.

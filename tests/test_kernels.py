@@ -457,6 +457,24 @@ class TestMultivariateKernel:
             by_row = np.vstack([mk.cross(X[i:i + 1], Z) for i in range(m)])
             assert np.array_equal(R, by_row)
 
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    @pytest.mark.parametrize("base", [matern(2.5), matern(2.2, phi=0.7), gaussian(0.6)],
+                             ids=["matern2.5", "matern2.2", "gaussian"])
+    def test_gram_is_cross_bit_for_bit(self, structure, base):
+        """gram evaluates each unordered pair once and mirrors it; the
+        result has the bytes of cross(X, X), for C- and F-ordered X.
+
+        At n = 90 rows of 20 coordinates cross runs 10 row blocks of 9 rows,
+        and gram's blocks grow from 9 rows as fewer rows remain, so the
+        mirror crosses several block boundaries; 2.2 takes the Bessel path.
+        """
+        X = np.random.default_rng(10).uniform(size=(90, 20))
+        mk = MultivariateKernel(base=base, structure=structure, dim=20)
+        assert BLOCK_LAGS // (90 * 20) == 9
+        K = mk.cross(X, X)
+        assert mk.gram(X).tobytes() == K.tobytes()
+        assert mk.gram(np.asfortranarray(X)).tobytes() == K.tobytes()
+
     def test_coordinate_permutation_bit_identical(self):
         """Permuting input coordinates leaves additive/product values bitwise equal.
 
