@@ -29,7 +29,7 @@ import numpy as np
 
 from .benchmarks import BenchmarkFn, by_name
 from .designs import halton, uniform_random
-from .errors import ConfigError, MetricError, TrainingError
+from .errors import ConfigError, DomainError, MetricError, TrainingError
 from .gp import GpModel, fit
 from .kernels import Kernel1d, MultivariateKernel
 from .pursuit import PpgprModel, TrainConfig, train
@@ -145,7 +145,10 @@ def _experiment_seeds(seed: int) -> tuple[int, int]:
 
 def _halton_training(fn: BenchmarkFn, n_train: int | None) -> tuple[np.ndarray, np.ndarray]:
     """The protocol's training set: ``n_train`` Halton points (5 d when
-    None) in the unit cube and ``fn``'s values there."""
+    None) in the unit cube and ``fn``'s values there.  Every model needs
+    at least 2 of them."""
+    if n_train is not None and n_train < 2:
+        raise DomainError(f"the training set needs at least 2 points, got n_train={n_train}")
     U = halton(5 * fn.dim if n_train is None else n_train, fn.dim).points
     return U, fn.eval_unit(U)
 

@@ -2,19 +2,19 @@
 
 Measures, as the design size n grows, the maximum predictive standard
 deviation P(x) over a dense grid and the sup-norm prediction error on
-exact prior sample paths.  Fitting ordinary least squares to the log-log
+exact prior sample paths.  Fitting a least-squares line to the log-log
 pairs gives the empirical decay exponent; theory predicts roughly n^-nu
 for the additive structure against n^(-nu/d) isotropic, so for d >= 2
 the additive slope should be clearly steeper.
 
 Sample paths come from one joint prior draw over the grid plus every
-design of the curve, via an eigendecomposition of the joint Gram matrix,
-with tiny negative eigenvalues (rounding artifacts) clipped to zero.
-Each design size is scored on its own slice of those paths, so its paths
-are exact prior draws and all sizes share the same random draws.  A
-Cholesky of that matrix would need a jitter that acts as white
-observation noise on the path values and floors the measurable error, so
-it is avoided here.
+design of the curve, through the pivoted Cholesky factor of the joint
+Gram matrix (:func:`ppgp.linalg.pivoted_cholesky`).  That factor needs
+no jitter, which would act as white observation noise on the path
+values and floor the measurable error, and it has only as many columns
+as the Gram has numerical rank.  Each design size is scored on its own
+slice of those paths, so its paths are exact prior draws and all sizes
+share the same random draws.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import randomized_lhs
-from .errors import DomainError, SingularMatrixError
+from .errors import DomainError
 from .gp import fit
 from .kernels import MultivariateKernel, matern
+from .linalg import pivoted_cholesky
 
 __all__ = [
     "CurveRow",
@@ -73,21 +74,13 @@ def prior_draws(
 ) -> np.ndarray:
     """Exact zero-mean prior samples at ``points``; returns (trials, N).
 
-    Uses the eigendecomposition of the Gram matrix with negative
-    eigenvalues clipped at zero.
+    Each draw is ``F z`` for the pivoted Cholesky factor ``F`` of the
+    Gram matrix and a standard normal ``z`` with one entry per column.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    K = kernel.gram(points)
-    try:
-        w, V = np.linalg.eigh(K)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            "joint Gram eigendecomposition failed; reduce the evaluation "
-            "grid or the design size"
-        ) from exc
-    A = V * np.sqrt(np.clip(w, 0.0, None))
-    z = np.random.default_rng(seed).standard_normal((trials, points.shape[0]))
-    return z @ A.T
+    F = pivoted_cholesky(kernel.gram(points))
+    z = np.random.default_rng(seed).standard_normal((trials, F.shape[1]))
+    return z @ F.T
 
 
 def sup_error_curve(
@@ -150,16 +143,20 @@ def sup_error_curve(
 
 
 def rate_fit(pairs) -> RateFit:
-    """OLS fit of log(err) against log(n) over (n, err) pairs."""
+    """Least-squares line of log(err) against log(n) over (n, err) pairs,
+    which need at least two distinct n."""
     arr = np.asarray([(float(n), float(e)) for n, e in pairs], dtype=float)
     if arr.shape[0] < 2:
         raise DomainError("rate fit needs at least two (n, err) pairs")
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise DomainError("rate fit needs finite positive n and err values")
-    x = np.log(arr[:, 0])
-    y = np.log(arr[:, 1])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return RateFit(slope=float(slope), intercept=float(intercept), r2=r2)
+    if np.all(arr[:, 0] == arr[0, 0]):
+        raise DomainError(f"rate fit needs at least two distinct n, got only {arr[0, 0]:g}")
+    x, y = np.log(arr).T
+    dx, dy = x - x.mean(), y - y.mean()
+    slope = float(dx @ dy / (dx @ dx))
+    intercept = float(y.mean() - slope * x.mean())
+    ss_tot = float(dy @ dy)
+    resid = dy - slope * dx
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
+    return RateFit(slope=slope, intercept=intercept, r2=r2)

@@ -9,6 +9,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +321,11 @@ class TestGivenValuesAreNotDefaults:
         ["tune", "--function", "xy-plus-x2", "--Ms", ""],
         ["bench-table", "--functions", "xy-plus-x2", "--methods", "gp-iso",
          "--n-train", "0"],
+        # one training point is as unusable as none
+        ["fit", "--function", "xy-plus-x2", "--method", "gp-iso", "--n-train", "1"],
+        ["fit", "--function", "xy-plus-x2", "--method", "ppgpr", "--n-train", "1"],
+        ["bench-table", "--functions", "xy-plus-x2", "--methods", "gp-iso",
+         "--n-train", "1"],
     ])
     def test_zero_or_empty_is_usage_error(self, tmp_path, capsys, argv):
         model_path = tmp_path / "model.txt"
@@ -463,6 +469,19 @@ class TestTheoryCheck:
         assert "1 <= d <= 3" in capsys.readouterr().err
         assert cli.main(["theory-check", "--d", "1", "--n-list", "1,4"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_one_distinct_n_is_usage_error(self, tmp_path, capsys):
+        """A slope needs two distinct design sizes: a repeated n exits 1
+        and writes nothing, instead of warning and printing a fit row."""
+        out = tmp_path / "rates.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["theory-check", "--structures", "additive", "--d", "1",
+                           "--n-list", "10,10", "--trials", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: rate fit needs at least two distinct n")
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
 
 
 class TestExitCodes:

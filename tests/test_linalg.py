@@ -2,7 +2,8 @@
 
 Oracles: hand 2x2 Cholesky factors, eigenvalue decompositions computed
 directly with numpy, residual norms of reconstructed systems, and the
-bits of scipy's ``dpotrf`` and ``scipy.linalg.cho_solve``.
+bits of scipy's ``dpotrf`` and ``scipy.linalg.cho_solve``; the pivoted
+factor is checked by reconstructing the matrix it factors.
 """
 
 import math
@@ -19,6 +20,8 @@ from ppgp import (
     inverse_spd,
     logdet,
     matern,
+    pivoted_cholesky,
+    randomized_lhs,
     solve_spd,
 )
 
@@ -249,3 +252,49 @@ class TestLapackPathBits:
         assert solve_spd(f, np.empty(0)).shape == (0,)
         assert inverse_spd(f).shape == (0, 0)
         assert logdet(f) == 0.0
+
+
+class TestPivotedCholesky:
+    """The jitter-free low-rank factor that theory-check draws through."""
+
+    @staticmethod
+    def gram(structure, d, n):
+        X = randomized_lhs(n, d, seed=n).points
+        return MultivariateKernel(matern(2.5), structure, d).gram(X)
+
+    @pytest.mark.parametrize("structure, d, n, full_rank", [
+        ("additive", 1, 600, False),
+        ("isotropic", 2, 400, True),
+    ])
+    def test_factor_reproduces_gram(self, structure, d, n, full_rank):
+        """F F^T reproduces K within N eps: a clipped eigendecomposition
+        misses by about 1e-12 at N = 4246, above that bound's 9.4e-13.
+        The 1-d Matérn Gram of 600 points is numerically rank-deficient,
+        so the factor has fewer columns than rows."""
+        K = self.gram(structure, d, n)
+        F = pivoted_cholesky(K.copy())
+        assert F.shape[0] == n
+        assert (F.shape[1] == n) == full_rank
+        assert np.max(np.abs(F @ F.T - K)) <= n * np.finfo(float).eps
+
+    def test_exact_low_rank(self):
+        """ones(3, 3) is u u^T with u = (1, 1, 1): one column, exact."""
+        F = pivoted_cholesky(np.ones((3, 3)))
+        assert F.shape == (3, 1)
+        assert np.array_equal(F @ F.T, np.ones((3, 3)))
+
+    def test_empty_matrix(self):
+        assert pivoted_cholesky(np.empty((0, 0))).shape == (0, 0)
+
+    @pytest.mark.parametrize("A", [
+        np.array([[1.0, 0.2], [0.3, 1.0]]),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.array([[1.0, 0.0], [0.0, np.inf]]),
+        np.ones((2, 3)),
+    ], ids=["asymmetric", "nan", "inf", "not-square"])
+    def test_bad_input_rejected(self, A):
+        """The same checks as cholesky_with_jitter, with the same error."""
+        with pytest.raises(SingularMatrixError):
+            pivoted_cholesky(A)
+        with pytest.raises(SingularMatrixError):
+            cholesky_with_jitter(A, 0.0)

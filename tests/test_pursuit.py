@@ -26,7 +26,9 @@ from ppgp import (
     logdet,
     loss_and_gradient,
     matern,
+    rate_fit,
     solve_spd,
+    sup_error_curve,
     train,
     transform,
     uniform_random,
@@ -585,14 +587,18 @@ def test_cholesky_rejects_non_square_matrix():
 
 
 def test_factors_solves_and_inverses_skip_numpy_linalg(monkeypatch):
-    """Training, fitting and prediction factor, solve and invert in scipy's
-    LAPACK alone: numpy bundles a second OpenBLAS whose worker threads would
-    compete with scipy's.  The factor is column-major, as dpotrs takes it."""
+    """Training, fitting, prediction and the rate checks factor, solve and
+    invert in scipy's LAPACK alone: numpy bundles a second OpenBLAS whose
+    worker threads would compete with scipy's.  The factor is
+    column-major, as dpotrs takes it.  ``np.polyfit`` is refused as well:
+    it reaches ``lstsq`` through its own import, which the patch on
+    ``np.linalg`` would not see."""
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.linalg called")
 
-    for name in ("cholesky", "inv", "solve"):
+    for name in ("cholesky", "inv", "solve", "eigh", "lstsq", "svd"):
         monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
     U = halton(30, 2).points
     Y = by_name("xy-plus-x2").eval_unit(U)
     X = uniform_random(5, 2, 1).points
@@ -603,3 +609,7 @@ def test_factors_solves_and_inverses_skip_numpy_linalg(monkeypatch):
     assert np.all(np.isfinite(gp.predict(X)))
     assert np.all(gp.p_squared(X) >= 0.0)
     assert cholesky_with_jitter(gp.kernel.gram(U), 1e-6).lower.flags.f_contiguous
+    for structure in ("additive", "product", "isotropic"):
+        rows = sup_error_curve(structure, 2.5, 2, [4, 8], trials=1, grid_budget=64)
+        assert all(np.isfinite(r.sup_err) for r in rows)
+    assert np.isfinite(rate_fit([(r.n, r.max_p) for r in rows]).slope)

@@ -44,9 +44,21 @@ class TestRateFit:
         assert fitres.r2 < 1.0
         assert -2.0 < fitres.slope < -1.0
 
+    def test_matches_numpy_polyfit(self):
+        """The closed-form line is the least-squares line numpy fits."""
+        pairs = [(10, 1e-1), (20, 3e-2), (40, 9e-3), (80, 4e-3), (160, 2.5e-3)]
+        fitres = rate_fit(pairs)
+        x, y = np.log(np.array(pairs)).T
+        slope, intercept = np.polyfit(x, y, 1)
+        assert fitres.slope == pytest.approx(slope, rel=1e-12)
+        assert fitres.intercept == pytest.approx(intercept, rel=1e-12)
+
     def test_too_few_pairs_rejected(self):
         with pytest.raises(DomainError):
             rate_fit([(10, 0.5)])
+        # pairs that share one n leave the slope undefined
+        with pytest.raises(DomainError, match="distinct n"):
+            rate_fit([(10, 0.5), (10, 0.25), (10, 0.125)])
 
     def test_nonpositive_values_rejected(self):
         with pytest.raises(DomainError):
