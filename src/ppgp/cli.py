@@ -472,6 +472,10 @@ def _run_tune(cfg: dict) -> tuple[str, list[str]]:
 
 
 def _run_theory_check(cfg: dict) -> tuple[str, list[str]]:
+    # every structure fits a rate over the design sizes; checked here, before
+    # any design is built or model fitted
+    if len(set(cfg["n_list"])) < 2:
+        raise ConfigError(f"rate fit needs at least two distinct n, got only {cfg['n_list'][0]}")
     out = []
     for structure in cfg["structures"]:
         rows = ratecheck.sup_error_curve(

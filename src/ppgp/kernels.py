@@ -23,8 +23,12 @@ coordinates of the lag ``x - y``:
 * ``product`` multiplies the per-coordinate values,
 * ``additive`` averages the per-coordinate values.
 
-Additive and product reductions sort their per-coordinate values before
-reducing, so permuting input coordinates reproduces bit-identical results.
+Permuting input coordinates reproduces additive and product results bit
+for bit.  The product sorts its per-coordinate values before multiplying.
+The additive mean sums them exactly in fixed point, as int64 multiples of
+``2^-b`` (:meth:`MultivariateKernel.combine`); integer addition is
+associative, so no order changes the sum and nothing needs sorting (the
+idea behind reproducible summation, Demmel & Nguyen 2015).
 
 :meth:`MultivariateKernel.cross` fills its m x n output in blocks of query
 rows, each holding at most :data:`BLOCK_LAGS` lag entries, so memory is
@@ -34,8 +38,8 @@ the block size and a batch equals its rows taken one at a time, bit for bit.
 :meth:`MultivariateKernel.gram` evaluates each unordered pair once and
 mirrors it.  A GP's posterior mean needs only ``cross(X, Z) @ alpha``; for an
 additive kernel that sum is taken per coordinate in the same row blocks,
-before the sort, so it sorts m dim values instead of m n dim and builds no
-m x n matrix.
+before the mean, so no m x n matrix is built.  The m dim weighted sums are
+arbitrary reals, so their mean sorts them instead of using fixed point.
 """
 
 from __future__ import annotations
@@ -61,6 +65,11 @@ STRUCTURES = ("isotropic", "product", "additive")
 # float64 temporary of a block is at most 128 KiB, small enough to stay in
 # cache.
 BLOCK_LAGS = 1 << 14
+
+# The additive mean sums per-coordinate values in [0, 1] as int64 multiples
+# of 2^-b with b = _FIXED_POINT_BITS - ceil(log2 dim), so a sum over dim
+# coordinates stays at most 2^62, clear of int64 overflow.
+_FIXED_POINT_BITS = 62
 
 # exp(-s) * polynomial(s) coefficients for half-integer smoothness,
 # lowest order first; s = 2 sqrt(nu) phi |t|
@@ -92,15 +101,17 @@ def _finite_lags(t) -> np.ndarray:
     return t
 
 
-def _matern_at(nu, s, e=None):
+def _matern_at(nu, s, e=None, out=None):
     """Matérn correlation of smoothness ``nu`` at scaled distance ``s >= 0``.
 
     ``e``, when given, is ``exp(-s)`` already computed by the caller; the
-    Bessel form for general ``nu`` does not use it.  Callers run this
-    inside ``np.errstate(invalid="ignore", over="ignore")``: for
-    astronomically large lags ``s`` overflows, the polynomial with it,
-    while the exponential underflows; the value is left as produced (nan)
-    and treated as a numeric failure downstream.
+    Bessel form for general ``nu`` does not use it.  ``out``, when given,
+    is an array of ``s``'s shape that receives the result, which is
+    returned.  Callers run this inside
+    ``np.errstate(invalid="ignore", over="ignore")``: for astronomically
+    large lags ``s`` overflows, the polynomial with it, while the
+    exponential underflows; the value is left as produced (nan) and
+    treated as a numeric failure downstream.
     """
     coeffs = _HALF_INTEGER_POLY.get(nu)
     if coeffs is not None:
@@ -110,10 +121,10 @@ def _matern_at(nu, s, e=None):
         # bits of (0 * s + c_last) * s.  Only the constant polynomial
         # (nu = 1/2) still needs the 0 * s start to carry the nan.
         if len(coeffs) == 1:
-            poly = s * 0.0
+            poly = np.multiply(s, 0.0, out=out)
             poly += coeffs[0]
         else:
-            poly = s * coeffs[-1]
+            poly = np.multiply(s, coeffs[-1], out=out)
             poly += coeffs[-2]
             for c in reversed(coeffs[:-2]):
                 poly *= s
@@ -127,7 +138,7 @@ def _matern_at(nu, s, e=None):
     val = np.where(s == 0.0, 1.0, val)
     # kv underflows to 0 for large s, giving the correct limit, but the
     # ratio can round a hair above 1 near s = 0
-    return np.minimum(val, 1.0)
+    return np.minimum(val, 1.0, out=out)
 
 
 def _normalizer_is_finite(nu: float) -> bool:
@@ -239,15 +250,21 @@ class Kernel1d:
             return float(val[0]), float(der[0])
         return self._value_and_derivative(t)
 
-    def _value_and_derivative(self, t: np.ndarray):
+    def _value_and_derivative(self, t: np.ndarray, out: np.ndarray | None = None):
         """The body of :meth:`value_and_derivative` at a float array ``t``
-        of lags the caller has already found finite."""
+        of lags the caller has already found finite.
+
+        ``out``, when given, is a float array of ``t``'s shape that receives
+        the derivative, which is returned in its place: a training step
+        writes it straight into its stored derivatives, with the bits of a
+        call without ``out``.
+        """
         phi = self.phi
         # the temporaries are updated in place: this runs over every lag of
         # a training step
         if self.family == "gaussian":
             val = _gaussian_at(t, phi)
-            der = t / (phi * phi)
+            der = np.divide(t, phi * phi, out=out)
             np.negative(der, out=der)
             der *= val
             return val, der
@@ -261,7 +278,7 @@ class Kernel1d:
                 e = np.negative(s)
                 np.exp(e, out=e)
             val = _matern_at(nu, s, e)
-            der = _matern_at(nu - 1.0, s, e)
+            der = _matern_at(nu - 1.0, s, e, out)
             der *= t
             der *= -2.0 * nu * phi**2 / (nu - 1.0)
         return val, der
@@ -382,10 +399,10 @@ class MultivariateKernel:
         An additive kernel is a mean over coordinates, so the sum is taken
         per coordinate first: in the row blocks of :meth:`cross`, the base
         values are weighted along the design axis and summed over it, and
-        only each row's ``dim`` sums are sorted and averaged.  The sort then
-        runs over m dim values instead of m n dim, no m x n matrix is built,
-        and the result agrees with ``cross(X, Z) @ weights`` to rounding.
-        Both paths give a batch the bits of its rows taken one at a time.
+        only each row's ``dim`` sums are sorted and averaged.  No m x n
+        matrix is built, and the result agrees with
+        ``cross(X, Z) @ weights`` to rounding.  Both paths give a batch the
+        bits of its rows taken one at a time.
         """
         X, Z = self._points(X, Z)
         if self.structure != "additive":
@@ -398,18 +415,37 @@ class MultivariateKernel:
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, X.shape[0], step):
                 vals = self.base(X[start:start + step, None, :] - Z[None, :, :])
-                out[start:start + step] = self.combine(np.einsum("rjk,j->rk", vals, weights))
+                sums = np.einsum("rjk,j->rk", vals, weights)
+                # the weighted sums are arbitrary reals, so their mean is
+                # made order-free by sorting rather than by fixed point
+                out[start:start + step] = np.sum(np.sort(sums, axis=-1), axis=-1) / self.dim
         return out
 
     def combine(self, values: np.ndarray) -> np.ndarray:
         """Product or additive correlation from per-coordinate base values.
 
         ``values`` holds the base correlation of each coordinate along its
-        last axis; they are sorted before the reduction, so the result does
-        not depend on the order of the coordinates.  Not used by the
-        isotropic structure, which applies the base to the lag norm.
+        last axis, in ``[0, 1]`` or nan.  The result does not depend on the
+        order of the coordinates, bit for bit.  The product sorts the values
+        before multiplying.  The additive mean sums them exactly in fixed
+        point: each value is scaled by ``2^b``, ``b = 62 - ceil(log2 dim)``,
+        truncated to an int64 and summed, which no order can change, since
+        integer addition is associative and ``dim 2^b <= 2^62`` cannot
+        overflow; the sum is then divided by ``dim 2^b``.  Each entry is
+        within ``2^-b`` of the exact mean before that last rounding, all
+        ones give exactly 1, and a nan value makes its own entry nan.  Not
+        used by the isotropic structure, which applies the base to the lag
+        norm.
         """
-        vals = np.sort(values, axis=-1)
         if self.structure == "product":
-            return np.prod(vals, axis=-1)
-        return np.sum(vals, axis=-1) / self.dim
+            return np.prod(np.sort(values, axis=-1), axis=-1)
+        b = _FIXED_POINT_BITS - (self.dim - 1).bit_length()
+        scaled = values * float(1 << b)
+        # a nan value casts to an arbitrary integer; its entry is set to nan
+        # below, so only the cast's warning is suppressed
+        with np.errstate(invalid="ignore"):
+            fixed = scaled.astype(np.int64)
+        out = np.einsum("...k->...", fixed) / float(self.dim << b)
+        if np.isnan(np.max(scaled, initial=0.0)):
+            out = np.where(np.isnan(scaled).any(axis=-1), np.nan, out)[()]
+        return out

@@ -20,14 +20,20 @@ follows the standard identity
 with ``dK/dw_k[i, j] = (1/M) k'(w_k^T (x_i - x_j)) (x_i - x_j)``.
 
 :func:`loss_and_gradient` makes one pass over the pairs ``i < j`` in
-fixed-size blocks.  Each block evaluates the kernel value and its
-derivative at the M projected lags from one shared ``exp``, writes the
-sorted-and-averaged values into ``K[i, j]`` and ``K[j, i]`` (bit-identical
-to :meth:`MultivariateKernel.gram`), and keeps only the derivatives.
-Because ``K`` is symmetric and ``k'`` odd, pair ``(i, j)`` enters the
-gradient with the weight ``(B[i, j] + B[j, i]) / M``, where
-``B = K^-1 - alpha alpha^T``, so after the factorization the gradient is
-one matrix product per block.  Memory is the stored derivatives, about
+blocks of ``max(BLOCK_LAGS // M, n)`` pairs.  Each block evaluates the
+kernel value and its derivative at the M projected lags from one shared
+``exp``, writes the values' mean, which
+:meth:`MultivariateKernel.combine` sums exactly in fixed point, into
+``K[i, j]`` and ``K[j, i]`` (bit-identical to
+:meth:`MultivariateKernel.gram`), and writes the derivatives straight
+into their slice of the stored ones.  Every pair goes through the same
+elementwise operations whatever its block, so the block size changes no
+bit.  ``K^-1`` from :func:`~ppgp.linalg.inverse_spd` is exactly
+symmetric, as is ``alpha alpha^T``, and ``k'`` is odd, so pair ``(i, j)``
+enters the gradient with the weight ``2 (K^-1[i, j] - alpha_i alpha_j) / M``;
+after the factorization the gradient is one matrix product per block of
+:data:`CONTRACTION_LAGS` lags, whose blocks set the order of its sum.
+Memory is the stored derivatives, about
 ``4 n^2 M`` bytes, plus O(n^2) for ``K``, its inverse and the pair
 indices; no n x n x M tensor is built.  The pair indices depend on n
 alone, so they are built once per n and cached, read-only, for the last
@@ -66,15 +72,24 @@ __all__ = [
 ]
 
 EARLY_STOP_WINDOW = 10
-# Lag entries (pairs x M) per block of the pair pass in loss_and_gradient:
-# each float64 temporary of a block is at most 64 KiB.  With 128 KiB
-# temporaries glibc grew and trimmed the heap around every block unless an
+# Lag entries (pairs x M) per block of the pair pass in loss_and_gradient,
+# which takes max(BLOCK_LAGS // M, n) pairs a block: each float64 temporary
+# is at most 64 KiB while n M <= BLOCK_LAGS.  With 128 KiB temporaries at
+# those sizes glibc grew and trimmed the heap around every block unless an
 # earlier free of a larger block had raised its trim threshold, so an n=40
 # call took about 180 minor page faults and up to twice as long.  At 64 KiB
-# the calls fault next to nothing in every process state measured.  The
+# the calls fault next to nothing in every process state measured.  Above
+# that size the stored derivatives, n (n - 1) M / 2 doubles, take over 6 MB
+# (25 MB at n=400, M=40), and freeing them raises glibc's thresholds, so
+# blocks of n pairs, half as many blocks at n=400, fault no more.  The
 # blocks slice pair indices that _pair_indices caches per n (1.3 MB at
 # n=400), so no call rebuilds them.
 BLOCK_LAGS = 1 << 13
+# Lag entries (pairs x d) per block of the gradient contraction.  Its blocks
+# set the order in which the gradient's sum is taken, so this constant fixes
+# the gradient's last bits; BLOCK_LAGS fixes none, since the pair pass is
+# elementwise in the pairs.
+CONTRACTION_LAGS = 1 << 13
 # Distinct n whose pair indices stay cached (one CV tune uses two).
 PAIR_CACHE_SIZE = 4
 
@@ -223,9 +238,10 @@ def loss_and_gradient(
         raise SingularMatrixError("projected inputs W x overflow to non-finite lags")
 
     # One pass over the pairs i < j: K from the kernel values, k' kept
+    n = X.shape[0]
     kernel = _additive_kernel(kernel1d, M)
-    iu, ju = _pair_indices(X.shape[0])
-    step = max(1, BLOCK_LAGS // M)
+    iu, ju = _pair_indices(n)
+    step = max(1, BLOCK_LAGS // M, n)
     dk = np.empty((iu.size, M))
     k_pairs = np.empty(iu.size)
     for start in range(0, iu.size, step):
@@ -233,10 +249,11 @@ def loss_and_gradient(
         # take gathers rows about twice as fast as T[iu[block]] at these
         # sizes, with the same bits
         lags = T.take(iu[block], axis=0) - T.take(ju[block], axis=0)
-        # every lag is bounded by its column's spread, checked finite above
-        k, dk[block] = kernel1d._value_and_derivative(lags)
+        # every lag is bounded by its column's spread, checked finite
+        # above; k' is written straight into its slice of dk
+        k, _ = kernel1d._value_and_derivative(lags, out=dk[block])
         k_pairs[block] = kernel.combine(k)
-    K = np.empty((X.shape[0], X.shape[0]))
+    K = np.empty((n, n))
     K[iu, ju] = K[ju, iu] = k_pairs
     np.fill_diagonal(K, 1.0)                          # M ones averaged
 
@@ -247,13 +264,16 @@ def loss_and_gradient(
     if not math.isfinite(loss):
         raise SingularMatrixError(f"objective is not finite ({loss!r})")
 
-    # B = K^-1 - alpha alpha^T contracts against dK/dw_k; k' is odd, so
-    # the pairs (i, j) and (j, i) share the weight (B[i,j] + B[j,i]) / M
-    B = inverse_spd(chol) - np.outer(alpha, alpha)
-    pair_weight = (B + B.T)[iu, ju] / M
+    # K^-1 - alpha alpha^T contracts against dK/dw_k; both are exactly
+    # symmetric and k' is odd, so the pairs (i, j) and (j, i) share the
+    # weight 2 (K^-1[i, j] - alpha_i alpha_j) / M
+    pair_weight = inverse_spd(chol)[ju, iu]
+    pair_weight -= alpha.take(iu) * alpha.take(ju)
+    pair_weight *= 2.0
+    pair_weight /= M
     # the contraction's temporaries hold pairs x d entries, not pairs x M
     grad = np.zeros((M, X.shape[1]))
-    step = max(1, BLOCK_LAGS // X.shape[1])
+    step = max(1, CONTRACTION_LAGS // X.shape[1])
     for start in range(0, iu.size, step):
         block = slice(start, start + step)
         D = X.take(iu[block], axis=0) - X.take(ju[block], axis=0)

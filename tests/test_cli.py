@@ -483,6 +483,17 @@ class TestTheoryCheck:
         assert [str(w.message) for w in caught] == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_list", ["10,10", "12", "9,9,9"])
+    def test_one_distinct_n_is_rejected_before_any_work(self, n_list, monkeypatch, capsys):
+        """The check runs before the curve: no design is built, no model fitted."""
+        def no_curve(*args, **kwargs):
+            raise AssertionError("sup_error_curve ran for a list with one distinct n")
+
+        monkeypatch.setattr(ppgp.ratecheck, "sup_error_curve", no_curve)
+        rc = cli.main(["theory-check", "--n-list", n_list, "--trials", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: rate fit needs at least two distinct n")
+
 
 class TestExitCodes:
     """The documented 0/1/2 contract."""

@@ -306,6 +306,24 @@ class TestKernel1dDerivative:
             assert type(v0) is float and type(d0) is float
             assert v0 == k(0.4) and d0 == k.derivative(0.4)
 
+    @pytest.mark.parametrize("k", [matern(1.5, phi=0.7), matern(2.5, phi=0.7),
+                                   matern(3.5, phi=0.7), matern(1.2, phi=0.7),
+                                   gaussian(0.7)],
+                             ids=["matern1.5", "matern2.5", "matern3.5", "matern1.2",
+                                  "gaussian"])
+    def test_derivative_written_in_place(self, k):
+        """With ``out``, the derivative lands in the caller's buffer, a
+        slice of a larger array here, with the bits of a call without it;
+        the value keeps __call__'s bits.  1.2 takes the Bessel path."""
+        t = np.linspace(-3.0, 3.0, 7 * 5).reshape(7, 5)
+        store = np.full((9, 5), np.nan)
+        val, der = k._value_and_derivative(t, out=store[1:8])
+        ref_val, ref_der = k._value_and_derivative(t)
+        assert np.shares_memory(der, store)
+        assert store[1:8].tobytes() == ref_der.tobytes()
+        assert np.isnan(store[[0, 8]]).all()
+        assert val.tobytes() == ref_val.tobytes() == k(t).tobytes()
+
     def test_low_smoothness_rejected(self):
         """Matern with nu <= 1 has no usable lag derivative."""
         for nu in (0.5, 1.0):
@@ -493,6 +511,63 @@ class TestMultivariateKernel:
         # is only permutation-invariant up to round-off, not bitwise.
         mk = MultivariateKernel(base=matern(2.5), structure="isotropic", dim=6)
         assert np.allclose(mk.gram(X), mk.gram(X[:, perm]), rtol=1e-12)
+
+    DIMS = (1, 2, 9, 40, 3000)
+
+    @staticmethod
+    def fixed_point_bits(dim):
+        """b = 62 - ceil(log2 dim), from the float log, not from the code's
+        bit length."""
+        return 62 - math.ceil(math.log2(dim))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_additive_mean_ignores_coordinate_order(self, dim):
+        """combine gives the same bits under random permutations of the
+        coordinates, including values of very different sizes, where a
+        floating-point sum would depend on the order."""
+        rng = np.random.default_rng(dim)
+        mk = MultivariateKernel(base=matern(2.5), structure="additive", dim=dim)
+        values = rng.random((6, dim)) ** rng.integers(1, 40, size=dim)
+        expected = mk.combine(values)
+        for _ in range(5):
+            perm = rng.permutation(dim)
+            assert mk.combine(values[:, perm]).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_additive_mean_of_ones_is_exactly_one(self, dim):
+        mk = MultivariateKernel(base=matern(2.5), structure="additive", dim=dim)
+        assert np.array_equal(mk.combine(np.ones((3, dim))), np.ones(3))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_additive_mean_within_fixed_point_error(self, dim):
+        """Each entry is within 2^-b of the exactly rounded mean
+        fsum(values) / dim, plus one rounding of a value below 1."""
+        rng = np.random.default_rng(dim + 1)
+        mk = MultivariateKernel(base=matern(2.5), structure="additive", dim=dim)
+        values = rng.random((20, dim)) ** 3          # many small values too
+        got = mk.combine(values)
+        bound = 2.0 ** -self.fixed_point_bits(dim) + np.finfo(float).eps
+        for row, mean in zip(values, got):
+            assert abs(mean - math.fsum(row) / dim) <= bound
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_nan_value_makes_only_its_entry_nan(self, dim):
+        """A nan correlation poisons its own entry, silently: the cast of
+        nan to an integer warns nothing, here and under the suite's
+        filter that turns a RuntimeWarning into an error."""
+        rng = np.random.default_rng(dim + 2)
+        mk = MultivariateKernel(base=matern(2.5), structure="additive", dim=dim)
+        values = rng.random((4, 3, dim))
+        values[2, 1, dim // 2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mk.combine(values)
+        expected_nan = np.zeros((4, 3), dtype=bool)
+        expected_nan[2, 1] = True
+        assert np.array_equal(np.isnan(got), expected_nan)
+        clean = values.copy()
+        clean[2, 1] = 0.5
+        assert got[~expected_nan].tobytes() == mk.combine(clean)[~expected_nan].tobytes()
 
     def test_dim_mismatch_rejected(self):
         """Vectors of the wrong length raise a domain error."""

@@ -2,8 +2,8 @@
 
 Oracles: hand 2x2 Cholesky factors, eigenvalue decompositions computed
 directly with numpy, residual norms of reconstructed systems, and the
-bits of scipy's ``dpotrf`` and ``scipy.linalg.cho_solve``; the pivoted
-factor is checked by reconstructing the matrix it factors.
+bits of scipy's ``dpotrf``, ``dpotri`` and ``scipy.linalg.cho_solve``; the
+pivoted factor is checked by reconstructing the matrix it factors.
 """
 
 import math
@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotri, dpstrf
 
 from ppgp import (
     MultivariateKernel,
@@ -24,6 +24,7 @@ from ppgp import (
     randomized_lhs,
     solve_spd,
 )
+from ppgp.linalg import PIVOT_TOL, POTRI_MIN_N
 
 
 def random_spd(rng, n):
@@ -195,10 +196,11 @@ class TestLogdetAndInverse:
 
 class TestLapackPathBits:
     """The helpers reproduce the bits of the scipy routines they stand in
-    for: ``dpotrf(A + delta I, lower=1, clean=1)`` for the factor and
-    ``scipy.linalg.cho_solve`` for the solves and the inverse.  The factor's
-    accuracy is checked directly too, against the Cholesky backward error
-    bound, not through agreement with another library."""
+    for: ``dpotrf(A + delta I, lower=1, clean=1)`` for the factor,
+    ``scipy.linalg.cho_solve`` for the solves, and ``cho_solve`` or
+    ``dpotri`` for the inverse.  The accuracy of the factor and of the
+    inverse is checked directly too, against rounding-error bounds, not
+    through agreement with another library."""
 
     SIZES = (1, 5, 32, 40, 100)
 
@@ -227,7 +229,7 @@ class TestLapackPathBits:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_solves_match_cho_solve(self, n):
-        """Vector, matrix and column-major right-hand sides, and the inverse."""
+        """Vector, matrix and column-major right-hand sides."""
         _, f, rng = self.factor(n)
         B = rng.normal(size=(n, 3))
         for b in (B[:, 0], B, np.asfortranarray(B)):
@@ -235,8 +237,29 @@ class TestLapackPathBits:
             expected = cho_solve((f.lower, True), b)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
-        expected = cho_solve((f.lower, True), np.eye(n))
-        assert inverse_spd(f).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", SIZES + (POTRI_MIN_N, 200))
+    def test_inverse_is_a_lower_triangle_mirrored(self, n):
+        """The inverse is the lower triangle of cho_solve against the
+        identity below POTRI_MIN_N rows and of dpotri from there up,
+        mirrored bit for bit, so it equals its transpose exactly; and
+        A X - I stays within n eps ||A||_inf ||X||_inf, the size of the
+        rounding errors of the inverse and its product (measured at most
+        0.5 of it)."""
+        A, f, _ = self.factor(n)
+        inv = inverse_spd(f)
+        if n < POTRI_MIN_N:
+            expected = cho_solve((f.lower, True), np.eye(n))
+        else:
+            expected, info = dpotri(f.lower, lower=1)
+            assert info == 0
+        lower = np.tril(np.ones((n, n), dtype=bool))
+        assert inv[lower].tobytes() == expected[lower].tobytes()
+        assert inv.tobytes() == inv.T.copy(order="F").tobytes()
+        shifted = A + 1e-6 * np.eye(n)
+        residual = np.max(np.abs(shifted @ inv - np.eye(n)))
+        norms = np.max(np.abs(shifted).sum(axis=1)) * np.max(np.abs(inv).sum(axis=1))
+        assert residual <= n * np.finfo(float).eps * norms
 
     def test_symmetric_input_is_left_unchanged(self):
         """The jitter goes on a copy's diagonal; the caller's matrix stays."""
@@ -285,6 +308,22 @@ class TestPivotedCholesky:
 
     def test_empty_matrix(self):
         assert pivoted_cholesky(np.empty((0, 0))).shape == (0, 0)
+
+    @pytest.mark.parametrize("A", [-np.eye(3), np.diag([1.0, -1.0])],
+                             ids=["negative-definite", "indefinite"])
+    def test_indefinite_input_rejected(self, A):
+        """dpstrf stops at rank 0 and 1 on these without an error; the
+        diagonal left out of the factor shows the negative direction."""
+        with pytest.raises(SingularMatrixError, match="not positive semidefinite"):
+            pivoted_cholesky(A.copy())
+
+    def test_rank_deficient_gram_keeps_its_rank(self):
+        """The indefiniteness check leaves a semidefinite Gram of numerical
+        rank below N alone: the factor has dpstrf's rank."""
+        K = self.gram("additive", 1, 600)
+        rank = dpstrf(np.asfortranarray(K), tol=PIVOT_TOL, lower=1)[2]
+        assert 0 < rank < 600
+        assert pivoted_cholesky(K.copy()).shape == (600, rank)
 
     @pytest.mark.parametrize("A", [
         np.array([[1.0, 0.2], [0.3, 1.0]]),

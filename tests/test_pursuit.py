@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ppgp.pursuit
 from ppgp import (
     DomainError,
     MultivariateKernel,
@@ -157,6 +158,26 @@ class TestLossAndGradient:
                 )
                 checked += 1
         assert checked >= 20
+
+    def test_pair_pass_blocks_change_no_bit(self, monkeypatch):
+        """The pair pass is elementwise in the pairs, so its block size
+        moves no bit of the loss or the gradient.  At n = 60, M = 35,
+        BLOCK_LAGS = 2^10 gives blocks of n = 60 pairs (2^10 // 35 = 29 is
+        below n), the default 2^13 blocks of 234, and 2^16 one block of all
+        1770 pairs."""
+        X = halton(60, 8).points
+        Y = np.sin(3.0 * X).sum(axis=1)
+        W = init_weights(8, 35, 3)
+        results = []
+        for block_lags in (1 << 10, 1 << 13, 1 << 16):
+            monkeypatch.setattr(ppgp.pursuit, "BLOCK_LAGS", block_lags)
+            for kernel1d in (matern(2.5), gaussian(0.8)):
+                loss, grad = loss_and_gradient(W, X, Y, kernel1d)
+                results.append((block_lags, kernel1d.family, loss, grad.tobytes()))
+        by_kernel = {}
+        for _, family, loss, grad in results:
+            by_kernel.setdefault(family, set()).add((loss, grad))
+        assert all(len(bits) == 1 for bits in by_kernel.values())
 
     def test_zero_response_leaves_trace_term_only(self):
         """Y = 0 kills the quadratic term: loss is the log-determinant."""
