@@ -335,20 +335,46 @@ def _write_text(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path!r}: {exc}") from None
 
 
+def _floats(line: str) -> list[float] | None:
+    """The comma-separated cells of ``line`` as floats, or None if one of
+    them is not a number."""
+    try:
+        return [float(f) for f in line.split(",")]
+    except ValueError:
+        return None
+
+
 def _read_points_csv(path: str) -> np.ndarray:
-    rows = []
-    header_allowed = True
-    for number, stripped in _text_lines(path, "points file"):
+    """The numeric rows of a points file, as an m x d array.
+
+    Only the first data line may be a header.  When the other lines all
+    hold the same number of commas, their cells are converted by one
+    ``np.array`` call, which parses each cell as ``float`` does; any file
+    that this does not read, valid or not, is read line by line, which
+    words every error.
+    """
+    numbered = list(_text_lines(path, "points file"))
+    lines = [stripped for _, stripped in numbered]
+    if lines and _floats(lines[0]) is None:
+        lines = lines[1:]
+    if len({line.count(",") for line in lines}) == 1:
         try:
-            rows.append([float(f) for f in stripped.split(",")])
+            cells = np.array(",".join(lines).split(","), dtype=float)
         except ValueError:
+            pass
+        else:
+            return cells.reshape(len(lines), -1)
+    rows = []
+    for k, (number, stripped) in enumerate(numbered):
+        row = _floats(stripped)
+        if row is not None:
+            rows.append(row)
+        elif k:
             # only the first data line may be a header; a later one is a
             # corrupt row, never silently dropped
-            if not header_allowed:
-                raise ConfigError(
-                    f"non-numeric row on line {number} of {path!r}: {stripped!r}"
-                ) from None
-        header_allowed = False
+            raise ConfigError(
+                f"non-numeric row on line {number} of {path!r}: {stripped!r}"
+            )
     if not rows:
         raise ConfigError(f"no numeric rows found in {path!r}")
     widths = {len(r) for r in rows}

@@ -5,15 +5,19 @@ vector ``alpha = (K + delta I)^-1 Y``, so the posterior mean at ``x`` is
 ``sum_j alpha_j k(x, x_j)``.  For isotropic and product kernels that is a
 dot product with the cross-correlation vector; an additive kernel is a mean
 of one-dimensional correlations, so its sum is taken per coordinate and the
-coordinate sums are averaged.  Responses are centered by their sample mean
-by default (the prior is mean zero and raw simulator outputs usually are
-not); the mean is added back at prediction time.
+coordinate sums are averaged.  The kernel prepares that sum once per model
+(for a half-integer Matérn base, as sorted one-sided sums over the design),
+and the model keeps it in memory only; model files never hold it.
+Responses are centered by their sample mean by default (the prior is mean
+zero and raw simulator outputs usually are not); the mean is added back at
+prediction time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,20 +48,30 @@ class GpModel:
     def dim(self) -> int:
         return self.design.shape[1]
 
+    @cached_property
+    def _posterior_sum(self):
+        """``X -> sum_j alpha_j k(X, x_j)``, prepared by the kernel on first
+        use and kept for the life of the model."""
+        return self.kernel._cross_dot_plan(self.design, self.alpha)
+
     def predict(self, X) -> np.ndarray:
         """Posterior-mean predictions at the rows of ``X`` (m x dim).
 
-        ``sum_j alpha_j k(x, x_j)`` comes from the kernel in row blocks,
-        never from an m x n x dim lag tensor.  Isotropic and product
-        kernels take a dot product with the m x n cross-correlations; an
-        additive kernel sums ``alpha``-weighted base values over the design
-        per coordinate, then averages each row's sorted coordinate sums, so
-        it builds no m x n matrix and its predictions do not depend on the
-        order of the coordinates.  Every row is accumulated identically
-        whatever the batch size or memory layout of ``X``: batch
-        predictions match single-point predictions bit for bit.
+        ``sum_j alpha_j k(x, x_j)`` comes from the kernel, never from an
+        m x n x dim lag tensor.  Isotropic and product kernels take a dot
+        product with the m x n cross-correlations, in row blocks.  An
+        additive kernel takes the sum per coordinate, then averages each
+        row's sorted coordinate sums, so it builds no m x n matrix and its
+        predictions do not depend on the order of the coordinates.  With a
+        half-integer Matérn base the coordinate sums come from sorted
+        one-sided sums over the design, built on the first call and reused,
+        at a binary search and O(nu) operations per coordinate; other bases
+        weight and sum the base values over the design in row blocks.
+        Every row is computed identically whatever the batch size or memory
+        layout of ``X``: batch predictions match single-point predictions
+        bit for bit.
         """
-        return self.kernel._cross_dot(X, self.design, self.alpha) + self.center_mean
+        return self._posterior_sum(X) + self.center_mean
 
     def p_squared(self, X) -> np.ndarray:
         """Normalized predictive variance ``1 - r^T (K + delta I)^-1 r``.

@@ -36,10 +36,23 @@ O(m n + block) rather than O(m n dim).  Every entry is computed by the same
 elementwise operations whatever the block, so the result does not depend on
 the block size and a batch equals its rows taken one at a time, bit for bit.
 :meth:`MultivariateKernel.gram` evaluates each unordered pair once and
-mirrors it.  A GP's posterior mean needs only ``cross(X, Z) @ alpha``; for an
-additive kernel that sum is taken per coordinate in the same row blocks,
-before the mean, so no m x n matrix is built.  The m dim weighted sums are
-arbitrary reals, so their mean sorts them instead of using fixed point.
+mirrors it.
+
+A GP's posterior mean needs only ``cross(X, Z) @ alpha``, and
+:meth:`MultivariateKernel._cross_dot_plan` prepares it once per design and
+weights.  An additive kernel is a mean over coordinates, so the sum is
+taken per coordinate, before the mean, and no m x n matrix is built.  With
+a half-integer Matérn base, ``k`` is ``exp(-s)`` times a polynomial of
+degree ``q = nu - 1/2``, so each coordinate's sum splits at the query into
+a left and a right sum over the sorted design, and each side is a
+polynomial in the distance to the nearest design value, whose coefficients
+are built once by a doubling scan (:class:`_OneSidedSums`; the
+state-space structure of these kernels, Hartikainen & Särkkä 2010,
+Foreman-Mackey et al. 2017).  A query then costs a binary search and
+``O(q)`` operations per coordinate instead of a pass over the design.
+Other additive bases sum the weighted base values over the design in the
+row blocks of ``cross``.  The m dim weighted sums are arbitrary reals, so
+their mean sorts them instead of using fixed point.
 """
 
 from __future__ import annotations
@@ -70,6 +83,11 @@ BLOCK_LAGS = 1 << 14
 # of 2^-b with b = _FIXED_POINT_BITS - ceil(log2 dim), so a sum over dim
 # coordinates stays at most 2^62, clear of int64 overflow.
 _FIXED_POINT_BITS = 62
+
+# A scaled distance from which exp(-s) is 0 in double precision (it is from
+# about 745.2 on).  The one-sided sums clamp larger distances to it, so a
+# distance whose polynomial would overflow gives 0, not inf * 0 = nan.
+_EXP_UNDERFLOW = 800.0
 
 # exp(-s) * polynomial(s) coefficients for half-integer smoothness,
 # lowest order first; s = 2 sqrt(nu) phi |t|
@@ -136,6 +154,14 @@ def _matern_at(nu, s, e=None, out=None):
 
     val = s**nu * kv(nu, s) / (gamma(nu) * 2.0 ** (nu - 1.0))
     val = np.where(s == 0.0, 1.0, val)
+    # at a tiny positive s, s^nu underflows to 0 where kv overflows, and the
+    # product is nan; there the leading terms of the expansion at 0,
+    # 1 - s^2 / (4 (nu - 1)) for nu > 1 and 1 otherwise, are exact to
+    # rounding.  A nan at s >= 1 (s^nu overflowing) is left as produced.
+    tiny = np.isnan(val) & (s < 1.0)
+    if tiny.any():
+        limit = 1.0 - s * s / (4.0 * (nu - 1.0)) if nu > 1 else 1.0
+        val = np.where(tiny, limit, val)
     # kv underflows to 0 for large s, giving the correct limit, but the
     # ratio can round a hair above 1 near s = 0
     return np.minimum(val, 1.0, out=out)
@@ -393,16 +419,32 @@ class MultivariateKernel:
             out[start:start + step] = self._block(X[start:start + step], Z)
         return out
 
+    def _cross_dot_plan(self, Z: np.ndarray, weights: np.ndarray):
+        """A function ``X -> cross(X, Z) @ weights``, the posterior mean's
+        sum over ``Z``, prepared once for repeated calls.
+
+        The kernel alone picks the path.  An additive kernel with a
+        half-integer Matérn base answers from sorted one-sided sums
+        (:class:`_OneSidedSums`), built here; every other kernel calls
+        :meth:`_cross_dot`.  Every path gives a batch the bits of its rows
+        taken one at a time.
+        """
+        _, Z = self._points(Z, Z)
+        if self.structure == "additive" and self.base.nu in _HALF_INTEGER_POLY:
+            return _OneSidedSums(self, Z, weights)
+        return lambda X: self._cross_dot(X, Z, weights)
+
     def _cross_dot(self, X: np.ndarray, Z: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """``cross(X, Z) @ weights``, the posterior mean's sum over ``Z``.
+        """``cross(X, Z) @ weights`` for a kernel without one-sided sums:
+        an isotropic or product kernel, or an additive one with a Gaussian
+        or Bessel-form Matérn base.
 
         An additive kernel is a mean over coordinates, so the sum is taken
         per coordinate first: in the row blocks of :meth:`cross`, the base
         values are weighted along the design axis and summed over it, and
         only each row's ``dim`` sums are sorted and averaged.  No m x n
         matrix is built, and the result agrees with
-        ``cross(X, Z) @ weights`` to rounding.  Both paths give a batch the
-        bits of its rows taken one at a time.
+        ``cross(X, Z) @ weights`` to rounding.
         """
         X, Z = self._points(X, Z)
         if self.structure != "additive":
@@ -415,10 +457,7 @@ class MultivariateKernel:
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, X.shape[0], step):
                 vals = self.base(X[start:start + step, None, :] - Z[None, :, :])
-                sums = np.einsum("rjk,j->rk", vals, weights)
-                # the weighted sums are arbitrary reals, so their mean is
-                # made order-free by sorting rather than by fixed point
-                out[start:start + step] = np.sum(np.sort(sums, axis=-1), axis=-1) / self.dim
+                out[start:start + step] = _sorted_mean(np.einsum("rjk,j->rk", vals, weights))
         return out
 
     def combine(self, values: np.ndarray) -> np.ndarray:
@@ -448,4 +487,173 @@ class MultivariateKernel:
         out = np.einsum("...k->...", fixed) / float(self.dim << b)
         if np.isnan(np.max(scaled, initial=0.0)):
             out = np.where(np.isnan(scaled).any(axis=-1), np.nan, out)[()]
+        return out
+
+
+def _sorted_mean(sums: np.ndarray) -> np.ndarray:
+    """Mean of each row of coordinate sums, summed in sorted order.
+
+    The weighted sums are arbitrary reals, so the mean is made independent
+    of the coordinate order by sorting rather than by fixed point.
+    """
+    return np.sum(np.sort(sums, axis=-1), axis=-1) / sums.shape[-1]
+
+
+def _carry_moments(L: np.ndarray, D: np.ndarray, h: int) -> None:
+    """One step of the doubling scan over one-sided moments ``L`` (moment
+    index first, scan position last): each position from ``h`` on adds the
+    moments of the position ``h`` back, carried the scaled distance ``D``
+    between the two.  Updates ``L`` in place.
+
+    Moment ``i`` of a position is ``sum_j w_j exp(-D_j) D_j^i`` over the
+    distances ``D_j`` to it; moving it ``D`` further turns each ``D_j`` into
+    ``D + D_j``, so by the binomial theorem the carried moment ``i`` is
+    ``exp(-D) sum_l C(i, l) D^(i - l) L_l``, taken here by Horner's rule in
+    ``D``.  Moments are updated from the highest down, so each step reads
+    only moments it has not yet updated.
+    """
+    E = np.exp(-D)
+    for i in range(L.shape[0] - 1, -1, -1):
+        carried = L[0, ..., :-h] * (D if i else E)
+        for l in range(1, i + 1):
+            carried += L[l, ..., :-h] * math.comb(i, l)
+            carried *= D if l < i else E
+        L[i, ..., h:] += carried
+
+
+class _OneSidedSums:
+    """``X -> cross(X, Z) @ weights`` for an additive kernel whose base is a
+    half-integer Matérn correlation, from sorted one-sided sums.
+
+    The base is ``k = exp(-s) sum_r c_r s^r`` with ``s = c |u - z|``,
+    ``c = 2 sqrt(nu) phi`` and degree ``q = nu - 1/2``.  For one
+    coordinate, let ``z_a`` be the last of the sorted design values at or
+    below a query ``u`` (ties go left) and ``d = c (u - z_a)``.  Every
+    ``z_j <= z_a`` lies ``d + D_j`` from ``u``, with ``D_j = c (z_a - z_j)``,
+    so the binomial theorem gives
+
+        sum_{j <= a} w_j k(u - z_j) = exp(-d) sum_p d^p P_p(a),
+        P_p(a) = sum_i C(i + p, i) c_{i+p} L_i(a),
+        L_i(a) = sum_{j <= a} w_j exp(-D_j) D_j^i,
+
+    and the mirror image holds for the design values above ``u``, with
+    ``d' = c (z_{a+1} - u)``.  The left moments ``L_i`` of every position
+    come from a doubling scan: ``log2 n`` steps, each adding the moments
+    ``h`` places back (:func:`_carry_moments`).  The right moments are the
+    same scan over the mirrored design ``-z``.  Every factor the scan and
+    the query multiply by is non-negative and every exponential is at most
+    1, so the rounding error is of order ``eps sum_j |w_j k_j|``, as for a
+    direct sum.
+
+    Per side and coordinate, table column ``j + 1`` holds scan position
+    ``j`` (the left side runs up the sorted design, the right side down
+    it), and column 0 stands for an empty side: coefficients 0, an
+    infinitely distant design value.  A branch-free binary search over the
+    sorted design counts, for every entry of a block at once and exactly,
+    the design values at or below the query, which gives both columns.
+    Queries are taken in blocks of at most ``BLOCK_LAGS / 2`` entries over
+    both sides, and each entry goes through the same elementwise operations
+    whatever its block, so a batch equals its rows taken one at a time,
+    bit for bit.
+    """
+
+    def __init__(self, kernel: MultivariateKernel, Z: np.ndarray, weights):
+        coeffs = _HALF_INTEGER_POLY[kernel.base.nu]
+        q = len(coeffs) - 1
+        c = 2.0 * np.sqrt(kernel.base.nu) * kernel.base.phi
+        n, dim = Z.shape
+        self.kernel = kernel
+        self.lo, self.hi = np.min(Z, axis=0), np.max(Z, axis=0)
+        order = np.argsort(Z, axis=0, kind="stable")
+        zs = np.take_along_axis(Z, order, axis=0).T
+        ws = np.asarray(weights, dtype=float)[order].T
+        # [moment, side, coordinate, column]; side 1 scans the mirror image
+        # -z of the design upward, which is the design downward
+        L = np.zeros((q + 1, 2, dim, n + 1))
+        L[0, 0, :, 1:] = ws
+        L[0, 1, :, 1:] = ws[:, ::-1]
+        scan_z = np.stack([zs, -zs[:, ::-1]])
+        # a damaged model file may hold non-finite design values or
+        # weights; they leave non-finite tables, and __call__ rejects the
+        # lags or leaves the sums as produced
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = 1
+            while h < n:
+                D = scan_z[..., h:] - scan_z[..., :-h]
+                D *= c
+                np.minimum(D, _EXP_UNDERFLOW, out=D)
+                _carry_moments(L[..., 1:], D, h)
+                h *= 2
+            # fold the moments into the coefficients P_p in place: P_p reads
+            # L_0 .. L_{q-p}, so P_p (p >= 1) takes the place of L_{q-p+1},
+            # which no later P reads, and P_0 that of L_0 last
+            P0 = L[0] * coeffs[0]
+            for i in range(1, q + 1):
+                P0 += L[i] * coeffs[i]
+            for p in range(1, q + 1):
+                P = L[0] * coeffs[p]
+                for i in range(1, q + 1 - p):
+                    P += L[i] * (coeffs[i + p] * math.comb(i + p, i))
+                L[q - p + 1] = P
+            L[0] = P0
+        self.coef = L.reshape(q + 1, -1)
+        # places of P_q, P_{q-1}, ..., P_0, for Horner's rule
+        self.horner = [*range(1, q + 1), 0]
+        z_tab = np.empty((2, dim, n + 1))
+        z_tab[0, :, 0], z_tab[1, :, 0] = -np.inf, np.inf
+        z_tab[0, :, 1:] = zs
+        z_tab[1, :, 1:] = zs[:, ::-1]
+        self.z_tab = z_tab.reshape(-1)
+        # the search runs over rows of N = 2^k > n values, padded with inf
+        N = 1 << n.bit_length()
+        search = np.full((dim, N), np.inf)
+        search[:, :n] = zs
+        self.search = search.reshape(-1)
+        self.halves = [1 << k for k in reversed(range(n.bit_length()))]
+        self.row0 = np.arange(dim) * N
+        # a coordinate's search position row0 + a (a design values at or
+        # below the query) maps to left column a and right column n - a
+        col0 = np.arange(dim) * (n + 1)
+        self.left_shift = self.row0 - col0
+        self.right_base = dim * (n + 1) + col0 + n + self.row0
+        # scales (z - u) to d on the left and to d' on the right
+        self.scale = np.array([-c, c])[:, None, None]
+
+    def __call__(self, X) -> np.ndarray:
+        X, _ = self.kernel._points(X, X)
+        m, dim = X.shape
+        out = np.empty(m)
+        if m == 0:
+            return out
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the largest lag of each coordinate is one of these two, so
+            # every lag is finite exactly when both are
+            span = np.maximum(np.max(X, axis=0) - self.lo, self.hi - np.min(X, axis=0))
+            if not np.all(np.isfinite(span)):
+                raise DomainError("kernel lag must be finite")
+            # a block's (2, rows, dim) temporaries hold at most BLOCK_LAGS / 2
+            # entries: with twice that, a warm process serving 1000-row
+            # requests on an n = 40, dim = 35 model gave the freed blocks
+            # back to the system after every request and took about 190
+            # minor page faults per request instead of about 0
+            step = max(1, BLOCK_LAGS // (4 * dim))
+            for start in range(0, m, step):
+                x = X[start:start + step]
+                row = np.repeat(self.row0[None, :], x.shape[0], axis=0)
+                for h in self.halves:
+                    row += (self.search[h - 1:].take(row) <= x) * h
+                col = np.empty((2, *x.shape), dtype=row.dtype)
+                np.subtract(row, self.left_shift, out=col[0])
+                np.subtract(self.right_base, row, out=col[1])
+                d = self.z_tab.take(col)
+                d -= x
+                d *= self.scale
+                np.minimum(d, _EXP_UNDERFLOW, out=d)
+                acc = self.coef[self.horner[0]].take(col)
+                for p in self.horner[1:]:
+                    acc *= d
+                    acc += self.coef[p].take(col)
+                np.negative(d, out=d)
+                acc *= np.exp(d, out=d)
+                out[start:start + step] = _sorted_mean(acc[0] + acc[1])
         return out

@@ -217,6 +217,25 @@ class TestFitPredict:
         assert rc == 0
         assert len(_body_lines(pred_path)) == 3
 
+    def test_points_cells_parse_as_float_does(self, tmp_path):
+        """The points file's cells, converted in one call, are the doubles
+        ``float`` gives each of them, with or without a header line; a
+        ragged or non-numeric file keeps its line-by-line error."""
+        cells = [[" 1 ", "1_0", "nan"], ["infinity", "1e400", "\u0661"],
+                 ["-0", "+.5", "1e-400"]]
+        expected = np.array([[float(c) for c in row] for row in cells])
+        body = "".join(",".join(row) + "\n" for row in cells)
+        path = tmp_path / "points.csv"
+        for text in (body, "x1,x2,x3\n" + body, "# made by hand\n\n" + body):
+            path.write_text(text, encoding="utf-8")
+            assert cli._read_points_csv(str(path)).tobytes() == expected.tobytes()
+        for text, error in (("x1,x2\n0.5,0.5\n0.25\n", "ragged rows"),
+                            ("0.5,0.5\n0x10,0.5\n", "non-numeric row on line 2"),
+                            ("0.5,0.5\n0.25,\n", "non-numeric row on line 2")):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ppgp.ConfigError, match=error):
+                cli._read_points_csv(str(path))
+
     @pytest.mark.parametrize("method", ["gp-iso", "gp-pro", "gp-add", "ppgpr"])
     def test_model_file_is_the_library_factory_model(self, tmp_path, method):
         """`ppgp fit` builds its model with make_model and the weight seed
@@ -509,10 +528,11 @@ class TestExitCodes:
         assert cli.main(["frobnicate"]) == 1
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
-        """At phi = 1e-300 the nu = 5.3 Bessel form gives nan correlations,
-        so the GP fit cannot factor its matrix: a numerical failure."""
+        """At phi = 1e150 the nu = 5.3 Bessel form gives nan correlations
+        (s^nu overflows where K_nu(s) underflows), so the GP fit cannot
+        factor its matrix: a numerical failure."""
         rc = cli.main(["fit", "--function", "xy-plus-x2", "--method", "gp-iso",
-                       "--nu", "5.3", "--phi", "1e-300",
+                       "--nu", "5.3", "--phi", "1e150",
                        "--model-out", str(tmp_path / "m.txt")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(

@@ -27,7 +27,9 @@ from ppgp import (
     transform,
     uniform_random,
 )
+from ppgp import kernels
 from ppgp.kernels import BLOCK_LAGS
+from ppgp.modelio import dumps_model, loads_model
 
 
 def iso_kernel(d, nu=2.5):
@@ -347,6 +349,42 @@ class TestAdditivePredictPath:
         scale = np.abs(R) @ np.abs(gp.alpha) + abs(gp.center_mean)
         assert np.all(np.abs(model.predict(Xt) - expected) <= 1e-12 * scale)
 
+
+    def test_sorted_sums_are_built_once_per_model_and_never_saved(self, monkeypatch):
+        """A half-integer additive model builds its one-sided sums on the
+        first predict and reuses them; the model file is the same text
+        before and after, and a loaded model builds its own."""
+        builds = []
+        init = kernels._OneSidedSums.__init__
+
+        def counting_init(self, *args):
+            builds.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(kernels._OneSidedSums, "__init__", counting_init)
+        U = halton(20, 3).points
+        model = fit(U, U[:, 0] + np.sin(3.0 * U[:, 1]), add_kernel(3))
+        text = dumps_model(model)
+        Xt = uniform_random(30, 3, 5).points
+        first = model.predict(Xt)
+        assert np.array_equal(model.predict(Xt), first)
+        model.predict(Xt[:1])
+        assert len(builds) == 1
+        assert dumps_model(model) == text
+        loaded = loads_model(text)
+        assert loaded.predict(Xt).tobytes() == first.tobytes()
+        assert len(builds) == 2
+
+    @pytest.mark.parametrize("base", [gaussian(0.5), matern(2.2)], ids=["gaussian", "matern2.2"])
+    def test_other_bases_predict_from_the_row_blocks(self, base):
+        """Gaussian and Bessel-form additive models keep the row-block
+        sums of the lag tensor, bit for bit."""
+        U = halton(20, 3).points
+        kernel = MultivariateKernel(base=base, structure="additive", dim=3)
+        model = fit(U, U[:, 0] + np.sin(3.0 * U[:, 1]), kernel)
+        Xt = uniform_random(30, 3, 5).points
+        expected = kernel._cross_dot(Xt, model.design, model.alpha) + model.center_mean
+        assert model.predict(Xt).tobytes() == expected.tobytes()
 
 class TestPredictMemory:
     """predict works in row blocks, never on an m x n x dim tensor."""

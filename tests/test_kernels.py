@@ -583,3 +583,131 @@ class TestMultivariateKernel:
             MultivariateKernel(base=matern(2.5), structure="radial", dim=2)
         with pytest.raises(DomainError):
             MultivariateKernel(base=matern(2.5), structure="additive", dim=0)
+
+
+class TestOneSidedSums:
+    """``cross(X, Z) @ w`` for an additive half-integer Matérn kernel, from
+    sorted one-sided sums over the design instead of the lag tensor."""
+
+    HALF_INTEGERS = (0.5, 1.5, 2.5, 3.5)
+
+    @staticmethod
+    def check_against_cross(mk, X, Z, w):
+        """The plan's sums equal ``cross(X, Z) @ w`` within 1e-12 of the
+        size of the terms summed; returns them.
+
+        The oracle sums the lag tensor's base values in floating point:
+        ``cross`` itself takes the additive mean in fixed point, which
+        truncates values below 2^-60, so it is no oracle for tiny sums.
+        """
+        got = mk._cross_dot_plan(Z, w)(X)
+        V = mk.base(np.asarray(X)[:, None, :] - Z[None, :, :])
+        expected = np.einsum("mjk,j->m", V, w) / mk.dim
+        scale = np.einsum("mjk,j->m", V, np.abs(w)) / mk.dim
+        assert got.shape == expected.shape
+        assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+        R = mk.cross(X, Z)
+        assert np.all(np.abs(got - R @ w) <= 1e-12 * (np.abs(R) @ np.abs(w)) + 2.0**-58 * np.abs(w).sum())
+        return got
+
+    @pytest.mark.parametrize("nu", HALF_INTEGERS)
+    def test_tied_design_values_and_queries_at_and_beyond_them(self, nu):
+        """Design columns with many ties; queries exactly at design values
+        (ties go left), between them, and beyond both ends."""
+        rng = np.random.default_rng(20)
+        dim = 5
+        Z = rng.integers(0, 4, size=(30, dim)) / 4.0
+        w = rng.normal(size=30)
+        X = np.vstack([Z[:7], rng.integers(-2, 7, size=(40, dim)) / 4.0,
+                       rng.uniform(-0.5, 1.5, size=(40, dim))])
+        mk = MultivariateKernel(base=matern(nu, phi=0.7), structure="additive", dim=dim)
+        self.check_against_cross(mk, X, Z, w)
+
+    @pytest.mark.parametrize("nu", HALF_INTEGERS)
+    def test_one_design_point_and_no_queries(self, nu):
+        rng = np.random.default_rng(21)
+        mk = MultivariateKernel(base=matern(nu), structure="additive", dim=3)
+        Z, w = rng.uniform(size=(1, 3)), np.array([1.7])
+        self.check_against_cross(mk, rng.uniform(-1, 2, size=(9, 3)), Z, w)
+        empty = mk._cross_dot_plan(Z, w)(np.empty((0, 3)))
+        assert empty.shape == (0,)
+
+    @pytest.mark.parametrize("nu", HALF_INTEGERS)
+    def test_lags_past_exp_underflow_give_zero_not_nan(self, nu):
+        """Scaled lags from about 745 on make exp(-s) 0.  Moderate ones
+        still leave the polynomial finite, and agree with cross; at 1e200
+        the polynomial overflows, where the sums give the limit 0 without a
+        warning (the lag tensor's own inf * 0 is nan)."""
+        rng = np.random.default_rng(22)
+        Z, w = rng.uniform(size=(12, 4)), rng.normal(size=12)
+        mk = MultivariateKernel(base=matern(nu, phi=300.0), structure="additive", dim=4)
+        self.check_against_cross(mk, rng.uniform(-3, 4, size=(25, 4)), Z, w)
+        far = np.array([[1e200, -1e200, 1e200, 1e200], [-1e200, 1e200, -1e200, 1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mk._cross_dot_plan(Z, w)(far)
+            one = MultivariateKernel(base=matern(nu, phi=300.0), structure="additive", dim=1)
+            spread = one._cross_dot_plan(np.array([[-1e308], [1e308]]), np.ones(2))
+            far_from_both = spread(np.array([[0.0], [1e300]]))
+        assert np.array_equal(got, [0.0, 0.0])
+        assert np.array_equal(far_from_both, [0.0, 0.0])
+
+    @pytest.mark.parametrize("nu", HALF_INTEGERS)
+    def test_batch_equals_rows_and_layout(self, nu):
+        """A batch spanning several query blocks has the bits of its rows
+        one at a time and of its F-ordered copy."""
+        rng = np.random.default_rng(23)
+        dim = 40
+        Z, w = rng.uniform(size=(50, dim)), rng.normal(size=50)
+        X = rng.uniform(size=(3 * (BLOCK_LAGS // (4 * dim)) + 7, dim))
+        mk = MultivariateKernel(base=matern(nu), structure="additive", dim=dim)
+        plan = mk._cross_dot_plan(Z, w)
+        got = self.check_against_cross(mk, X, Z, w)
+        assert got.tobytes() == plan(np.asfortranarray(X)).tobytes()
+        assert got.tobytes() == np.array([plan(x)[0] for x in X]).tobytes()
+
+    @pytest.mark.parametrize("nu", HALF_INTEGERS)
+    def test_non_finite_lags_raise_the_kernels_domain_error(self, nu):
+        """nan or inf queries, and finite ones whose lag to a design value
+        overflows, raise the DomainError that cross raises."""
+        mk = MultivariateKernel(base=matern(nu), structure="additive", dim=2)
+        Z = np.array([[0.2, -1e308], [0.7, 0.5]])
+        plan = mk._cross_dot_plan(Z, np.array([1.0, -2.0]))
+        for X in ([[np.nan, 0.1]], [[0.3, np.inf]], [[0.3, 1e308]], [[-np.inf, 0.0]]):
+            with pytest.raises(DomainError, match="kernel lag must be finite"), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                mk.cross(X, Z)
+            with pytest.raises(DomainError, match="kernel lag must be finite"):
+                plan(X)
+        assert np.isfinite(plan([[0.3, -1e307]])).all()
+
+
+class TestBesselTinyLags:
+    """The Bessel form's 0 * inf at tiny positive lags."""
+
+    @pytest.mark.parametrize("nu,lags", [
+        (2.2, (1e-300, 1e-200)),
+        (5.3, (1e-300, 1e-100)),
+        (40.2, (1e-300, 1e-30, 1e-12)),
+        (150.3, (1e-300, 1e-12, 1e-6, 1e-4)),
+    ])
+    def test_tiny_lags_match_mpmath(self, nu, lags):
+        """Where s^nu underflows and K_nu(s) overflows, the value is the
+        leading terms of the expansion at 0, within 1e-12 of mpmath."""
+        k = matern(nu)
+        got = k(np.array(lags))
+        for t, v in zip(lags, got):
+            assert abs(v - matern_reference(nu, 1.0, t)) <= 1e-12 * matern_reference(nu, 1.0, t)
+
+    def test_other_lags_keep_their_bits(self):
+        """Entries that were not nan keep the Bessel form's bits, and an
+        overflowed s (the lag near the float limit) stays nan."""
+        nu = 5.3
+        t = np.array([1e-300, 1e-3, 0.2, 1.0, 7.0, 1e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = 2.0 * np.sqrt(nu) * np.abs(t)
+            bessel = s**nu * scipy.special.kv(nu, s) / (scipy.special.gamma(nu) * 2.0 ** (nu - 1.0))
+            got = matern(nu)(t)
+        assert np.isnan(bessel[0]) and np.isfinite(got[0])
+        assert got[1:5].tobytes() == np.minimum(bessel[1:5], 1.0).tobytes()
+        assert np.isnan(got[5])
