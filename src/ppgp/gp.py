@@ -1,17 +1,21 @@
-"""Plain Gaussian-process regression with a cached Cholesky factorization.
+"""Plain Gaussian-process regression with a lazily built Cholesky factor.
 
-A fitted model stores the lower factor of ``K + delta * I`` and the weight
-vector ``alpha = (K + delta I)^-1 Y``, so the posterior mean at ``x`` is
-``sum_j alpha_j k(x, x_j)``.  For isotropic and product kernels that is a
-dot product with the cross-correlation vector; an additive kernel is a mean
-of one-dimensional correlations, so its sum is taken per coordinate and the
-coordinate sums are averaged.  The kernel prepares that sum once per model
-(for a half-integer Matérn base, as sorted one-sided sums over the design),
-and the model keeps it in memory only; model files never hold it.
+A fitted model stores the weight vector ``alpha = (K + delta I)^-1 Y`` and
+the jitter ``delta`` its factorization reached, so the posterior mean at
+``x`` is ``sum_j alpha_j k(x, x_j)``.  For isotropic and product kernels
+that is a dot product with the cross-correlation vector; an additive kernel
+is a mean of one-dimensional correlations, so its sum is taken per
+coordinate and the coordinate sums are averaged.  The kernel prepares that
+sum once per model (for a half-integer Matérn base, as sorted one-sided
+sums over the design), and the model keeps it in memory only; model files
+never hold it.  Nor do they hold the lower factor of ``K + delta I``, which
+only the predictive variance and the likelihood read: the model rebuilds it
+from the design on first use, starting the jitter ladder at ``delta``.  The
+Gram matrix and the ladder are deterministic, so in one process the
+rebuilt factor has the bits of the one ``fit`` solved with.
 Responses are centered by their sample mean by default (the prior is mean
 zero and raw simulator outputs usually are not); the mean is added back at
-prediction time.
-"""
+prediction time."""
 
 from __future__ import annotations
 
@@ -40,13 +44,18 @@ class GpModel:
     nugget: float
     center: bool
     center_mean: float
-    chol: CholFactor = field(repr=False)
     alpha: np.ndarray = field(repr=False)
-    sigma2_hat: float = 0.0
+    jitter_used: float
 
     @property
     def dim(self) -> int:
         return self.design.shape[1]
+
+    @cached_property
+    def chol(self) -> CholFactor:
+        """Lower factor of ``K + jitter_used * I``, built on first use and
+        kept for the life of the model."""
+        return cholesky_with_jitter(self.kernel.gram(self.design), self.jitter_used)
 
     @cached_property
     def _posterior_sum(self):
@@ -139,7 +148,7 @@ def fit(
         prediction.  Disable for data that is already mean zero.
     """
     X, y = _training_data(design, responses, FitError)
-    n, d = X.shape
+    d = X.shape[1]
     if kernel.dim != d:
         raise FitError(f"kernel dim {kernel.dim} does not match design dim {d}")
     if validate_unit_cube and (X.min() < 0.0 or X.max() > 1.0):
@@ -157,8 +166,6 @@ def fit(
         chol = cholesky_with_jitter(K, nugget)
     except SingularMatrixError as exc:
         raise FitError(f"correlation matrix could not be factored: {exc}") from exc
-    alpha = solve_spd(chol, yc)
-    sigma2 = max(float(yc @ alpha) / n, 0.0)
     return GpModel(
         design=X,
         responses=y,
@@ -166,7 +173,6 @@ def fit(
         nugget=nugget,
         center=center,
         center_mean=mean,
-        chol=chol,
-        alpha=alpha,
-        sigma2_hat=sigma2,
+        alpha=solve_spd(chol, yc),
+        jitter_used=chol.jitter_used,
     )

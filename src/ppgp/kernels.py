@@ -8,7 +8,8 @@ with smoothness ``nu`` and scale ``phi`` (``K_nu`` is the modified Bessel
 function of the second kind), and the Gaussian correlation
 ``exp(-t^2 / (2 phi^2))``.  Half-integer Matérn smoothness uses the exact
 exponential-times-polynomial closed forms; other ``nu`` fall back to the
-Bessel evaluation.  :meth:`Kernel1d.value_and_derivative` returns the
+Bessel evaluation, and where that overflows (large ``nu``) to an upward
+recurrence in the smoothness.  :meth:`Kernel1d.value_and_derivative` returns the
 correlation and its lag derivative together, sharing one ``exp`` where the
 closed forms allow.
 
@@ -157,14 +158,52 @@ def _matern_at(nu, s, e=None, out=None):
     # at a tiny positive s, s^nu underflows to 0 where kv overflows, and the
     # product is nan; there the leading terms of the expansion at 0,
     # 1 - s^2 / (4 (nu - 1)) for nu > 1 and 1 otherwise, are exact to
-    # rounding.  A nan at s >= 1 (s^nu overflowing) is left as produced.
+    # rounding.
     tiny = np.isnan(val) & (s < 1.0)
     if tiny.any():
         limit = 1.0 - s * s / (4.0 * (nu - 1.0)) if nu > 1 else 1.0
         val = np.where(tiny, limit, val)
+    # what is left not finite is inf where kv overflows at moderate s (large
+    # nu) or s^nu at large s, or nan where s^nu overflows and kv underflows
+    # to 0; the upward recurrence gives those entries, and stays nan only
+    # where s^2 overflows
+    bad = ~np.isfinite(val)
+    if bad.any():
+        val[bad] = _matern_upward(nu, s[bad])
     # kv underflows to 0 for large s, giving the correct limit, but the
     # ratio can round a hair above 1 near s = 0
     return np.minimum(val, 1.0, out=out)
+
+
+def _matern_upward(nu, s):
+    """Bessel-form Matérn correlation of smoothness ``nu`` at ``s > 0`` by
+    the upward recurrence in the smoothness.
+
+    The normalised values ``f_mu = s^mu K_mu(s) / (Gamma(mu) 2^(mu-1))``
+    satisfy ``f_(mu+1) = f_mu + s^2 f_(mu-1) / (4 mu (mu - 1))``, from
+    ``K_(mu+1) = K_(mu-1) + (2 mu / s) K_mu``.  The recurrence starts from
+    the direct form at ``mu0 = nu - floor(nu)`` (1 for whole ``nu``) and
+    ``mu0 + 1``, where neither ``s^mu`` nor ``K_mu`` overflows at the lags
+    that overflow the direct form at ``nu``.  Every term is positive, so
+    nothing cancels.  Where the start values underflow to 0 (``s`` from
+    about 700) the result is 0; where ``s`` itself overflowed it stays nan.
+    """
+    from scipy.special import gamma, kv   # loaded on first use; see the module docstring
+
+    mu = nu - math.floor(nu) or 1.0
+
+    def direct(m):
+        return s**m * kv(m, s) / (gamma(m) * 2.0 ** (m - 1.0))
+
+    lower = direct(mu)
+    if mu == nu:
+        return lower
+    upper = direct(mu + 1.0)
+    s2 = s * s
+    for k in range(1, round(nu - mu)):
+        m = mu + k
+        lower, upper = upper, upper + s2 * lower / (4.0 * m * (m - 1.0))
+    return upper
 
 
 def _normalizer_is_finite(nu: float) -> bool:

@@ -6,6 +6,14 @@ matrices and vectors introduced by ``matrix NAME ROWS COLS`` /
 Floats are written with ``repr``, which round-trips IEEE doubles exactly,
 so a loaded model reproduces the original's predictions bit for bit
 without refitting.
+
+A GP section holds what a prediction reads: the kernel, the nugget, the
+centering, the jitter ``fit`` reached, the design, the responses and the
+weights ``alpha``.  Version 2, the one written, holds exactly that.
+Version 1 also held ``sigma2_hat`` and the n x n Cholesky factor; it is
+still read, and those two entries are parsed and dropped.  A model
+rebuilds its factor from the design when the predictive variance or the
+likelihood first asks for it (:attr:`ppgp.gp.GpModel.chol`).
 """
 
 from __future__ import annotations
@@ -15,16 +23,15 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import ModelFormatError, PpgpError
+from .errors import DomainError, ModelFormatError, PpgpError
 from .gp import GpModel
 from .kernels import Kernel1d, MultivariateKernel
-from .linalg import CholFactor
 from .pursuit import PpgprModel, TrainConfig
 
 __all__ = ["save_model", "load_model", "dumps_model", "loads_model"]
 
 _MAGIC = "ppgp-model"
-_VERSION = 1
+_VERSION = 2
 # TrainConfig fields are written in declaration order under their own
 # names, except these two, which keep a prefix on disk
 _CONFIG_KEYS = {"nugget": "cfg_nugget", "center": "cfg_center"}
@@ -66,12 +73,10 @@ def _write_gp(out, model: GpModel) -> None:
     out.write(f"nugget {_fmt(model.nugget)}\n")
     out.write(f"center {int(model.center)}\n")
     out.write(f"center_mean {_fmt(model.center_mean)}\n")
-    out.write(f"sigma2_hat {_fmt(model.sigma2_hat)}\n")
-    out.write(f"jitter_used {_fmt(model.chol.jitter_used)}\n")
+    out.write(f"jitter_used {_fmt(model.jitter_used)}\n")
     _write_matrix(out, "design", model.design)
     _write_vector(out, "responses", model.responses)
     _write_vector(out, "alpha", model.alpha)
-    _write_matrix(out, "chol", model.chol.lower)
 
 
 def dumps_model(model) -> str:
@@ -159,7 +164,7 @@ class _Reader:
         return A
 
 
-def _read_gp(r: _Reader) -> GpModel:
+def _read_gp(r: _Reader, version: int) -> GpModel:
     family = r.key_value("family")
     nu = float(r.key_value("nu")) if family == "matern" else None
     phi = float(r.key_value("phi"))
@@ -167,22 +172,29 @@ def _read_gp(r: _Reader) -> GpModel:
     nugget = float(r.key_value("nugget"))
     center = bool(int(r.key_value("center")))
     center_mean = float(r.key_value("center_mean"))
-    sigma2_hat = float(r.key_value("sigma2_hat"))
+    # version 1 also holds sigma2_hat and the factor: parsed, then dropped
+    if version == 1:
+        float(r.key_value("sigma2_hat"))
     jitter_used = float(r.key_value("jitter_used"))
     design = r.matrix("design")
     responses = r.vector("responses")
     alpha = r.vector("alpha")
-    lower = r.matrix("chol")
+    if version == 1:
+        r.matrix("chol")
+    # the factor's jitter ladder starts at jitter_used, and fit never
+    # leaves it below the nugget
+    if not (np.isfinite(nugget) and nugget >= 0):
+        raise DomainError(f"nugget must be finite and non-negative (got {nugget})")
+    if not (np.isfinite(jitter_used) and jitter_used >= nugget):
+        raise DomainError(
+            f"jitter_used must be finite and at least the nugget {nugget} (got {jitter_used})"
+        )
     n = design.shape[0]
     for name, v in (("responses", responses), ("alpha", alpha)):
         if v.shape[0] != n:
             raise ModelFormatError(
                 f"vector {name} has {v.shape[0]} entries for {n} design rows"
             )
-    if lower.shape != (n, n):
-        raise ModelFormatError(
-            f"matrix chol is {lower.shape[0]}x{lower.shape[1]}, expected {n}x{n}"
-        )
     kernel = MultivariateKernel(
         base=Kernel1d(family, nu, phi), structure=structure, dim=design.shape[1]
     )
@@ -193,9 +205,8 @@ def _read_gp(r: _Reader) -> GpModel:
         nugget=nugget,
         center=center,
         center_mean=center_mean,
-        chol=CholFactor(lower=lower, jitter_used=jitter_used),
         alpha=alpha,
-        sigma2_hat=sigma2_hat,
+        jitter_used=jitter_used,
     )
 
 
@@ -219,11 +230,12 @@ def _parse(r: _Reader):
     header = r.next_line().split()
     if len(header) != 2 or header[0] != _MAGIC:
         raise ModelFormatError("not a model file (bad magic line)")
-    if int(header[1]) != _VERSION:
+    version = int(header[1])
+    if version not in (1, _VERSION):
         raise ModelFormatError(f"unsupported model version {header[1]}")
     kind = r.key_value("kind")
     if kind == "gp":
-        model = _read_gp(r)
+        model = _read_gp(r, version)
     elif kind == "ppgpr":
         config = {
             f.name: _FIELD_CODECS[f.type][1](r.key_value(_CONFIG_KEYS.get(f.name, f.name)))
@@ -245,7 +257,7 @@ def _parse(r: _Reader):
             )
         if r.next_line() != "inner":
             raise ModelFormatError("expected 'inner' section")
-        inner = _read_gp(r)
+        inner = _read_gp(r, version)
         if inner.dim != W.shape[0]:
             raise ModelFormatError(
                 f"inner design has {inner.dim} columns for {W.shape[0]} rows of W"

@@ -311,6 +311,19 @@ class TestFitPredict:
         assert rc == 1
         assert "error: vector alpha has 11 entries for 12 design rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("nugget", "-1.0"), ("jitter_used", "nan")])
+    def test_nugget_or_jitter_outside_domain_is_usage_error(self, served, capsys, key, value):
+        """A nugget or jitter_used that fit cannot write is rejected when the
+        file is read: exit 1, the well-formed-value-outside-its-domain code."""
+        model_path, points_path = served
+        text = model_path.read_text(encoding="ascii")
+        line = next(l for l in text.splitlines() if l.startswith(f"{key} "))
+        model_path.write_text(text.replace(f"\n{line}\n", f"\n{key} {value}\n"),
+                              encoding="ascii")
+        rc = cli.main(["predict", "--model", str(model_path), "--points", str(points_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be finite")
+
     def test_non_ascii_model_file_is_usage_error(self, served, capsys):
         """One byte that is not ASCII makes the model file unreadable: exit 1,
         not a UnicodeDecodeError."""
@@ -528,11 +541,12 @@ class TestExitCodes:
         assert cli.main(["frobnicate"]) == 1
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
-        """At phi = 1e150 the nu = 5.3 Bessel form gives nan correlations
-        (s^nu overflows where K_nu(s) underflows), so the GP fit cannot
-        factor its matrix: a numerical failure."""
+        """At phi = 1e308 the nu = 0.8 scaled distance 2 sqrt(nu) phi |t|
+        overflows for the design's longest lags, where the Bessel form gives
+        nan correlations, so the GP fit cannot factor its matrix: a
+        numerical failure."""
         rc = cli.main(["fit", "--function", "xy-plus-x2", "--method", "gp-iso",
-                       "--nu", "5.3", "--phi", "1e150",
+                       "--nu", "0.8", "--phi", "1e308",
                        "--model-out", str(tmp_path / "m.txt")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(

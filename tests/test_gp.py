@@ -5,6 +5,7 @@ maxima for the predictive standard deviation, and paired fits on
 functions with known additive or interactive structure.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from ppgp import (
     MultivariateKernel,
     TrainConfig,
     by_name,
+    cholesky_with_jitter,
     fit,
     gaussian,
     halton,
@@ -189,7 +191,6 @@ class TestPredictiveVariance:
         m = fit(X, Y, iso_kernel(1))
         far = np.array([[80.0]])
         assert np.isclose(m.p_squared(far)[0], 1.0, rtol=1e-8)
-        assert m.sigma2_hat >= 0.0
 
     def test_variance_is_clamped_not_negative(self):
         """Round-off at training sites is clamped to zero, never negative."""
@@ -245,6 +246,32 @@ class TestLogLikelihood:
                 np.linalg.slogdet(K)[1]
             )
             assert np.isclose(m.log_likelihood(), oracle, rtol=1e-8)
+
+
+class TestLazyFactor:
+    """A model stores no n x n array: its Cholesky factor is built from the
+    design on first use, with the bits of the factor fit solved with."""
+
+    def test_factor_is_built_on_first_use(self):
+        X = halton(12, 3).points
+        m = fit(X, X.sum(axis=1), add_kernel(3))
+        assert "chol" not in vars(m)
+        assert {f.name for f in dataclasses.fields(m)}.isdisjoint({"chol", "sigma2_hat"})
+        expected = cholesky_with_jitter(m.kernel.gram(X), m.nugget)
+        assert m.chol.lower.tobytes() == expected.lower.tobytes()
+        assert m.chol.jitter_used == expected.jitter_used == m.jitter_used
+        assert m.chol is m.chol
+
+    def test_escalated_ladder_rebuilds_the_same_factor(self):
+        """Duplicated rows and nugget 0 push the ladder past its first rung;
+        the factor started at the recorded rung has the same bits."""
+        X = np.repeat(halton(6, 2).points, 2, axis=0)
+        m = fit(X, X[:, 0] - X[:, 1], iso_kernel(2), nugget=0.0)
+        assert m.jitter_used > 0.0
+        expected = cholesky_with_jitter(m.kernel.gram(X), 0.0)
+        assert expected.jitter_used == m.jitter_used
+        assert m.chol.lower.tobytes() == expected.lower.tobytes()
+        assert m.chol.jitter_used == m.jitter_used
 
 
 class TestStructureSeparation:

@@ -21,9 +21,10 @@ from ppgp import (
     MultivariateKernel,
     STRUCTURES,
     gaussian,
+    halton,
     matern,
 )
-from ppgp.kernels import BLOCK_LAGS
+from ppgp.kernels import BLOCK_LAGS, _matern_upward
 
 
 def matern_reference(nu, phi, t):
@@ -711,3 +712,63 @@ class TestBesselTinyLags:
         assert np.isnan(bessel[0]) and np.isfinite(got[0])
         assert got[1:5].tobytes() == np.minimum(bessel[1:5], 1.0).tobytes()
         assert np.isnan(got[5])
+
+
+def _matern_reference_at(nu, s):
+    """mpmath's normalised s^nu K_nu(s) / (Gamma(nu) 2^(nu-1)) at scaled
+    distance ``s``, as a float."""
+    with mpmath.workdps(40):
+        return float(mpmath.mpf(s) ** nu * mpmath.besselk(nu, s)
+                     / (mpmath.gamma(nu) * mpmath.mpf(2) ** (nu - 1)))
+
+
+class TestBesselLargeNu:
+    """Where the Bessel form overflows (K_nu at moderate s for large nu,
+    s^nu at large s), the upward recurrence in the smoothness gives the
+    value; everywhere else the Bessel form keeps its bits."""
+
+    S = np.concatenate([np.geomspace(1e-3, 400.0, 21), [0.0245, 0.245, 0.736, 150.0, 200.0]])
+
+    @staticmethod
+    def assert_matches_mpmath(nu, s, got):
+        for si, v in zip(s, got):
+            ref = _matern_reference_at(nu, si)
+            assert abs(v - ref) <= max(1e-12 * ref, 1e-200), (nu, si, v, ref)
+
+    @pytest.mark.parametrize("nu", [40.2, 150.3, 170.5])
+    def test_recurrence_matches_mpmath(self, nu):
+        """170.5 builds no kernel (its Bessel normalizer overflows), but the
+        recurrence starts from smoothness 0.5 and 1.5 and reaches it."""
+        self.assert_matches_mpmath(nu, self.S, _matern_upward(nu, self.S))
+
+    @pytest.mark.parametrize("nu", [40.2, 150.3])
+    def test_kernel_values_match_mpmath(self, nu):
+        k = matern(nu)
+        t = self.S / (2.0 * np.sqrt(nu))
+        s = k._scaled(t)
+        self.assert_matches_mpmath(nu, s, k(t))
+
+    def test_far_lags_underflow_to_zero(self):
+        """At s = 800 the start values underflow (mpmath: 3e-213); an
+        overflowed s stays nan."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = matern(150.3)(np.array([800.0, 1e308]) / (2.0 * np.sqrt(150.3)))
+        assert got[0] == 0.0 and np.isnan(got[1])
+
+    def test_isotropic_gram_is_no_longer_all_ones(self):
+        """A 40-point design in d = 8 at phi = 5: off the diagonal every
+        entry lies strictly between 0 and 1."""
+        X = halton(40, 8).points
+        K = MultivariateKernel(base=matern(150.3, 5.0), structure="isotropic", dim=8).gram(X)
+        off = K[~np.eye(40, dtype=bool)]
+        assert np.all((off > 0.0) & (off < 1.0))
+
+    @pytest.mark.parametrize("nu", [2.2, 5.3])
+    def test_moderate_nu_keeps_the_bessel_bits(self, nu):
+        """A grid on which the Bessel form is finite keeps its bits."""
+        k = matern(nu)
+        t = np.linspace(0.0, 100.0, 4001)[1:]
+        s = k._scaled(t)
+        bessel = s**nu * scipy.special.kv(nu, s) / (scipy.special.gamma(nu) * 2.0 ** (nu - 1.0))
+        assert np.isfinite(bessel).all()
+        assert k(t).tobytes() == np.minimum(bessel, 1.0).tobytes()

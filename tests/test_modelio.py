@@ -1,7 +1,9 @@
 """Tests for model serialization round trips."""
 
 import dataclasses
+import json
 import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +12,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ppgp import (
-    CholFactor,
     DomainError,
     GpModel,
     ModelFormatError,
     MultivariateKernel,
+    PpgprModel,
     TrainConfig,
     by_name,
     dumps_model,
@@ -25,6 +27,7 @@ from ppgp import (
     matern,
     save_model,
     train,
+    transform,
     uniform_random,
 )
 
@@ -59,7 +62,6 @@ class TestGpRoundTrip:
         assert back.nugget == model.nugget
         assert back.center is False
         assert back.center_mean == model.center_mean
-        assert back.sigma2_hat == model.sigma2_hat
         assert back.chol.jitter_used == model.chol.jitter_used
         assert np.array_equal(back.design, model.design)
         assert np.array_equal(back.responses, model.responses)
@@ -114,6 +116,11 @@ def _small_ppgpr(M=4):
 
 
 _PPGPR = _small_ppgpr()
+# version-1 files, which also stored sigma2_hat and the Cholesky factor,
+# with predictions recorded when they were written
+_FIXTURES = Path(__file__).parent / "fixtures"
+_V1_RECORD = json.loads((_FIXTURES / "v1_predictions.json").read_text(encoding="ascii"))
+_V1_PPGPR = (_FIXTURES / "v1_ppgpr.txt").read_text(encoding="ascii")
 # a file's M must match the rows of its W, so M is drawn from these models
 _PPGPR_BY_M = {M: _small_ppgpr(M) for M in (1, 2, 3)} | {4: _PPGPR}
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -143,12 +150,12 @@ def _gp_models(draw):
         return draw(hnp.arrays(np.float64, shape, elements=_finite))
 
     kernel = MultivariateKernel(base=matern(2.5, 0.7), structure="product", dim=d)
+    nugget = draw(_non_negative)
     return GpModel(
         design=array(n, d), responses=array(n), kernel=kernel,
-        nugget=draw(_non_negative), center=draw(st.booleans()),
-        center_mean=draw(_finite),
-        chol=CholFactor(lower=array(n, n), jitter_used=draw(_finite)),
-        alpha=array(n), sigma2_hat=draw(_finite),
+        nugget=nugget, center=draw(st.booleans()),
+        center_mean=draw(_finite), alpha=array(n),
+        jitter_used=draw(st.floats(min_value=nugget, allow_nan=False, allow_infinity=False)),
     )
 
 
@@ -165,8 +172,7 @@ def test_gp_model_round_trips_bit_for_bit(model):
     dumping the loaded model gives the same bytes."""
     text = dumps_model(model)
     back = loads_model(text)
-    for name in ("design", "responses", "alpha", "chol.lower", "chol.jitter_used",
-                 "center_mean", "sigma2_hat", "nugget"):
+    for name in ("design", "responses", "alpha", "jitter_used", "center_mean", "nugget"):
         get = operator.attrgetter(name)
         assert _bits(get(back)) == _bits(get(model)), name
     assert back.center == model.center
@@ -202,9 +208,9 @@ class TestMalformedNumbers:
         lambda t: _corrupt_row_after(t, "vector trace_losses"),
         lambda t: _corrupt_row_after(t, "vector alpha"),
         lambda t: _corrupt_row_after(t, "matrix W"),
-        lambda t: _corrupt_row_after(t, "matrix chol"),
+        lambda t: _corrupt_row_after(_V1_PPGPR, "matrix chol"),
         lambda t: t.replace("matrix W 4 8", "matrix W four 8"),
-        lambda t: t.replace("ppgp-model 1", "ppgp-model one"),
+        lambda t: t.replace(t.split("\n", 1)[0], "ppgp-model one"),
     ])
     def test_unparseable_number_is_format_error(self, corrupt):
         text = corrupt(dumps_model(_PPGPR))
@@ -244,13 +250,12 @@ class TestArrayShapes:
     @pytest.mark.parametrize("corrupt, match", [
         (lambda t: _shrink_vector(t, "responses"), "responses has 11 entries for 12"),
         (lambda t: _shrink_vector(t, "alpha"), "alpha has 11 entries for 12"),
-        (lambda t: _drop_matrix_row(t, "chol"), "chol is 11x12, expected 12x12"),
         (lambda t: _replace_line(t, "M", "3"), "W has 4 rows, config M is 3"),
         (lambda t: _replace_line(_drop_matrix_row(t, "W"), "M", "3"),
          "inner design has 4 columns for 3 rows of W"),
         (lambda t: _shrink_vector(t, "trace_losses"),
          "trace_losses has 3 entries for 4 trace epochs"),
-    ], ids=["responses", "alpha", "chol", "W-vs-M", "inner-vs-W", "trace"])
+    ], ids=["responses", "alpha", "W-vs-M", "inner-vs-W", "trace"])
     def test_ppgpr_shape_mismatch_rejected(self, corrupt, match):
         text = corrupt(dumps_model(_PPGPR))
         with pytest.raises(ModelFormatError, match=match):
@@ -264,6 +269,52 @@ class TestArrayShapes:
             loads_model(_shrink_vector(text, "alpha"))
         # the unedited file still loads
         assert dumps_model(loads_model(text)) == text
+
+
+class TestVersion1Files:
+    """Version-1 files still load: their sigma2_hat and chol entries are
+    parsed and dropped, and the model rebuilds its factor from the design."""
+
+    @pytest.mark.parametrize("name", sorted(_V1_RECORD))
+    def test_predictions_match_the_recorded_values(self, name):
+        text = (_FIXTURES / name).read_text(encoding="ascii")
+        assert text.startswith("ppgp-model 1\n") and "\nmatrix chol " in text
+        model = loads_model(text)
+        record = _V1_RECORD[name]
+        points = np.array(record["points"])
+        np.testing.assert_allclose(model.predict(points), record["predictions"],
+                                   rtol=1e-12, atol=0.0)
+        gp = model.inner if isinstance(model, PpgprModel) else model
+        inputs = transform(model.W, points) if gp is not model else points
+        np.testing.assert_allclose(gp.p_squared(inputs), record["p_squared"],
+                                   rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(_V1_RECORD))
+    def test_dump_writes_version_2(self, name):
+        model = load_model(_FIXTURES / name)
+        text = dumps_model(model)
+        assert text.startswith("ppgp-model 2\n")
+        assert not any(line.startswith(("sigma2_hat ", "matrix chol "))
+                       for line in text.splitlines())
+        points = np.array(_V1_RECORD[name]["points"])
+        assert np.array_equal(loads_model(text).predict(points), model.predict(points))
+
+
+class TestLoadChecks:
+    """The rebuilt factor's jitter ladder starts at jitter_used, which fit
+    never leaves below the nugget: a file breaking either rule is a
+    DomainError when it is read."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("nugget", "-1.0"), ("nugget", "inf"), ("nugget", "nan"),
+        ("jitter_used", "nan"), ("jitter_used", "-5.0"), ("jitter_used", "inf"),
+        ("jitter_used", "1e-07"),
+    ])
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_rejected(self, key, value, version):
+        text = _V1_PPGPR if version == 1 else dumps_model(_PPGPR)
+        with pytest.raises(DomainError, match=key):
+            loads_model(_replace_line(text, key, value))
 
 
 class TestHostileFiles:
