@@ -6,7 +6,7 @@ randomized Latin hypercubes (one point uniformly placed per axis stratum),
 and plain uniform sampling.
 
 Diagnostic: per-coordinate fill distance, how well a design's j-th
-projection covers [0, 1], in closed form and as a grid reference.
+projection covers [0, 1], in closed form.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "halton",
     "randomized_lhs",
     "uniform_random",
-    "marginal_fill_distance",
     "marginal_fill_distance_exact",
 ]
 
@@ -118,21 +117,6 @@ GENERATORS = {
     "randomized-lhs": randomized_lhs,
     "uniform-random": uniform_random,
 }
-
-
-def marginal_fill_distance(points: np.ndarray, j: int) -> float:
-    """Worst gap of the n x d design's j-th coordinate projection, on a grid.
-
-    Approximates sup over t in [0, 1] of the distance from t to the nearest
-    j-th coordinate by maximizing over 10001 equispaced points; the
-    approximation error is at most 1/20002.  The reference that
-    :func:`marginal_fill_distance_exact`, the closed-form 1-d value, is
-    tested against.
-    """
-    coords = _check_coord(points, j)
-    ts = np.linspace(0.0, 1.0, 10001)
-    dists = np.min(np.abs(ts[:, None] - coords[None, :]), axis=1)
-    return float(np.max(dists))
 
 
 def marginal_fill_distance_exact(points: np.ndarray, j: int) -> float:

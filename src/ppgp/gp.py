@@ -126,16 +126,15 @@ def fit(
     kernel: MultivariateKernel,
     nugget: float = DEFAULT_NUGGET,
     center: bool = True,
-    validate_unit_cube: bool = True,
 ) -> GpModel:
     """Fit a GP to ``responses`` observed at the rows of ``design``.
 
     Parameters
     ----------
     design : ndarray, shape (n, d)
-        Input sites.  Expected to lie in the unit cube; pass
-        ``validate_unit_cube=False`` for inputs that are legitimately
-        unbounded (e.g. linearly transformed coordinates).
+        Input sites, which must lie in the unit cube.  The inner GP of a
+        projection-pursuit model, on unbounded projected coordinates, comes
+        from :func:`~ppgp.pursuit.train`'s best step, not from here.
     responses : ndarray, shape (n,)
         Observed outputs; must be finite.
     kernel : MultivariateKernel
@@ -151,11 +150,8 @@ def fit(
     d = X.shape[1]
     if kernel.dim != d:
         raise FitError(f"kernel dim {kernel.dim} does not match design dim {d}")
-    if validate_unit_cube and (X.min() < 0.0 or X.max() > 1.0):
-        raise FitError(
-            "design rows must lie in the unit cube; pass "
-            "validate_unit_cube=False for transformed inputs"
-        )
+    if X.min() < 0.0 or X.max() > 1.0:
+        raise FitError("design rows must lie in the unit cube")
     if not (math.isfinite(nugget) and nugget >= 0):
         raise FitError(f"nugget must be finite and non-negative (got {nugget})")
 

@@ -42,7 +42,8 @@ alone, so they are built once per n and cached, read-only, for the last
 
 Within an epoch every row is updated from the same factorization
 (Jacobi-style); the returned model is the one at the best-loss epoch, not
-the last, and training stops early once the relative loss improvement
+the last: the GP that epoch's call already fitted, kept with its ``alpha``
+and jitter rung.  Training stops early once the relative loss improvement
 over a 10-epoch window falls below a threshold.  Divergence has one path:
 a ``SingularMatrixError`` from :func:`loss_and_gradient`, whose causes
 include an objective that is not finite.
@@ -57,6 +58,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError, TrainingError
+# fit goes unused here, but perfbench/tracer.py patches pursuit.fit
 from .gp import DEFAULT_NUGGET, GpModel, _training_data, fit
 from .kernels import Kernel1d, MultivariateKernel
 from .linalg import cholesky_with_jitter, inverse_spd, logdet, solve_spd
@@ -122,6 +124,8 @@ class TrainConfig:
             raise DomainError("node count M must be at least 1")
         if self.epochs < 1:
             raise DomainError("epochs must be at least 1")
+        if self.seed < 0:
+            raise DomainError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -196,10 +200,15 @@ def loss_and_gradient(
     Y: np.ndarray,
     kernel1d: Kernel1d,
     nugget: float = DEFAULT_NUGGET,
-) -> tuple[float, np.ndarray]:
-    """Objective value and its exact gradient in the weight matrix.
+) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Objective value, its exact gradient in the weight matrix, and the
+    fit behind them: ``alpha = (K + delta I)^-1 Y`` and the jitter rung
+    ``delta`` its factorization reached.
 
     ``Y`` is used as given (center beforehand if the model is centered).
+    ``K`` has the bits of :meth:`MultivariateKernel.gram` on ``transform(W,
+    X)``, so ``alpha`` and ``delta`` have the bits of a fit of the additive
+    GP there.
     Raises ``DomainError`` for kernels without a usable derivative (Matérn
     needs nu > 1) and for a ``Y`` that is not one finite response per row
     of ``X``, and ``SingularMatrixError``, which :func:`train` treats
@@ -279,7 +288,7 @@ def loss_and_gradient(
         D = X.take(iu[block], axis=0) - X.take(ju[block], axis=0)
         D *= pair_weight[block, None]
         grad += dk[block].T @ D                       # (M, d)
-    return loss, grad
+    return loss, grad, alpha, chol.jitter_used
 
 
 def train(
@@ -299,8 +308,10 @@ def train(
     divergence: the loop falls back to the best weights seen so far
     (flagged ``diverged``), or at epoch 0 raises ``TrainingError``.
 
-    Returns the model refitted at the best-loss epoch, whose config holds
-    the resolved node count.
+    Returns the model at the best-loss epoch, whose config holds the
+    resolved node count.  Its inner GP is the one that epoch's
+    :func:`loss_and_gradient` call fitted, with that call's ``alpha`` and
+    jitter rung.
     """
     X, Y = _training_data(X, Y, TrainingError)
     d = X.shape[1]
@@ -318,11 +329,12 @@ def train(
     best_loss = np.inf
     best_W = W.copy()
     best_epoch = 0
+    best_alpha, best_jitter = None, None
     diverged = False
 
     for epoch in range(cfg.epochs + 1):
         try:
-            loss, grad = loss_and_gradient(W, X, yc, kernel1d, cfg.nugget)
+            loss, grad, alpha, jitter = loss_and_gradient(W, X, yc, kernel1d, cfg.nugget)
         except SingularMatrixError as exc:
             if epoch == 0:
                 raise TrainingError(f"the initial weights give no finite loss: {exc}") from exc
@@ -331,6 +343,7 @@ def train(
         trace.append((epoch, loss))
         if loss < best_loss:
             best_loss, best_W, best_epoch = loss, W.copy(), epoch
+            best_alpha, best_jitter = alpha, jitter
         if epoch >= EARLY_STOP_WINDOW:
             ref = trace[epoch - EARLY_STOP_WINDOW][1]
             if ref - loss < cfg.early_stop_rel * abs(ref):
@@ -341,13 +354,15 @@ def train(
             with np.errstate(over="ignore", invalid="ignore"):
                 W = W - cfg.eta * grad
 
-    inner = fit(
-        transform(best_W, X),
-        Y,
-        _additive_kernel(kernel1d, cfg.M),
+    inner = GpModel(
+        design=transform(best_W, X),
+        responses=Y,
+        kernel=_additive_kernel(kernel1d, cfg.M),
         nugget=cfg.nugget,
         center=cfg.center,
-        validate_unit_cube=False,
+        center_mean=mean,
+        alpha=best_alpha,
+        jitter_used=best_jitter,
     )
     return PpgprModel(
         W=best_W,

@@ -62,10 +62,10 @@ def _fd_gradient(W, X, Y, kernel1d, h=6e-4):
             for j in range(W.shape[1]):
                 Wp = W.copy()
                 Wp[k, j] += step
-                lp, _ = loss_and_gradient(Wp, X, Y, kernel1d)
+                lp, *_ = loss_and_gradient(Wp, X, Y, kernel1d)
                 Wm = W.copy()
                 Wm[k, j] -= step
-                lm, _ = loss_and_gradient(Wm, X, Y, kernel1d)
+                lm, *_ = loss_and_gradient(Wm, X, Y, kernel1d)
                 G[k, j] = (lp - lm) / (2.0 * step)
         return G
 
@@ -174,7 +174,7 @@ class TestAcceptance:
             Y = rng.normal(size=n)
             W = init_weights(d, M, trial + 100)
             for base in (matern(2.5), gaussian(1.0)):
-                _, G = loss_and_gradient(W, X, Y, base)
+                _, G, *_ = loss_and_gradient(W, X, Y, base)
                 G_fd = _fd_gradient(W, X, Y, base)
                 rel = float(np.max(np.abs(G - G_fd)) / np.max(np.abs(G_fd)))
                 worst = max(worst, rel)

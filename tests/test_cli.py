@@ -897,6 +897,19 @@ def test_points_file_round_trips_through_predict(small_ppgpr, case):
     assert out[:, 2].tobytes() == model.predict(pts).tobytes()
 
 
+def test_negative_seed_in_model_file_is_usage_error(small_ppgpr, capsys):
+    """A ppgpr file whose seed line reads -1 is rejected when it is read:
+    exit 1, not numpy's error from a later retraining."""
+    _, workdir = small_ppgpr
+    text = (workdir / "model.txt").read_text(encoding="ascii")
+    assert "\nseed 0\n" in text
+    bad, points = workdir / "seed.txt", workdir / "seed-points.csv"
+    bad.write_text(text.replace("\nseed 0\n", "\nseed -1\n"), encoding="ascii")
+    points.write_text("0.5,0.5\n")
+    assert cli.main(["predict", "--model", str(bad), "--points", str(points)]) == 1
+    assert capsys.readouterr().err.startswith("error: seed must be non-negative")
+
+
 @pytest.fixture(scope="module")
 def model_files(small_ppgpr):
     """The text of a 10-point ppgpr and an 8-point gp-iso model file, a

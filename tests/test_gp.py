@@ -138,13 +138,15 @@ class TestFitBasics:
             fit(X, np.array([0.0, 1.0]), iso_kernel(3))
 
     def test_unit_cube_validation_and_bypass(self):
-        """Rows outside [0,1]^d are rejected unless explicitly allowed."""
+        """Rows below or above [0,1]^d are rejected, and fit takes no flag
+        that bypasses the check."""
         X = np.array([[0.2, 0.3], [1.7, 0.5], [0.4, 0.9]])
         Y = np.array([1.0, 2.0, 3.0])
-        with pytest.raises(FitError):
-            fit(X, Y, iso_kernel(2))
-        m = fit(X, Y, iso_kernel(2), validate_unit_cube=False)
-        assert np.max(np.abs(m.predict(X) - Y)) <= 1e-3 * 3.0
+        for design in (X, X - 1.0):
+            with pytest.raises(FitError, match="unit cube"):
+                fit(design, Y, iso_kernel(2))
+        with pytest.raises(TypeError):
+            fit(X, Y, iso_kernel(2), validate_unit_cube=False)
 
     def test_negative_nugget_rejected(self):
         """A negative, NaN or infinite nugget is a fit error, not a silent
@@ -215,11 +217,12 @@ class TestLogLikelihood:
     """The objective l = Y^T (K + dI)^{-1} Y + logdet(K + dI)."""
 
     def test_identity_gram_two_points(self):
-        """Two far-apart points make K = I; Y=(1,1) gives l = 2."""
-        X = np.array([[0.0], [50.0]])
+        """Two points whose correlation is negligible make K = I; Y=(1,1)
+        gives l = 2.  At phi = 20 the off-diagonal entry is about 5e-25."""
+        X = np.array([[0.0], [1.0]])
         Y = np.array([1.0, 1.0])
-        m = fit(X, Y, iso_kernel(1), nugget=0.0, center=False,
-                validate_unit_cube=False)
+        kernel = MultivariateKernel(base=matern(2.5, 20.0), structure="isotropic", dim=1)
+        m = fit(X, Y, kernel, nugget=0.0, center=False)
         assert np.isclose(m.log_likelihood(), 2.0, atol=1e-8)
 
     def test_quadratic_term_scales_with_c_squared(self):

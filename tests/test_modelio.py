@@ -223,6 +223,13 @@ class TestMalformedNumbers:
         with pytest.raises(DomainError):
             loads_model(text)
 
+    def test_negative_seed_is_domain_error(self):
+        """A seed init_weights cannot draw from is rejected at load, not
+        left for a retraining to fail on."""
+        text = _replace_line(dumps_model(_PPGPR), "seed", "-1")
+        with pytest.raises(DomainError, match="seed"):
+            loads_model(text)
+
 
 def _shrink_vector(text, name):
     """Drop the last entry of vector ``name``, header included."""

@@ -50,10 +50,10 @@ def finite_difference_gradient(W, X, Y, kernel1d, nugget=1e-6, h=6e-4):
             for j in range(W.shape[1]):
                 Wp = W.copy()
                 Wp[k, j] += step
-                lp, _ = loss_and_gradient(Wp, X, Y, kernel1d, nugget)
+                lp, *_ = loss_and_gradient(Wp, X, Y, kernel1d, nugget)
                 Wm = W.copy()
                 Wm[k, j] -= step
-                lm, _ = loss_and_gradient(Wm, X, Y, kernel1d, nugget)
+                lm, *_ = loss_and_gradient(Wm, X, Y, kernel1d, nugget)
                 G[k, j] = (lp - lm) / (2.0 * step)
         return G
 
@@ -62,7 +62,7 @@ def finite_difference_gradient(W, X, Y, kernel1d, nugget=1e-6, h=6e-4):
 
 def gradient_relative_error(W, X, Y, kernel1d):
     """Max-norm relative disagreement between analytic and FD gradients."""
-    _, G = loss_and_gradient(W, X, Y, kernel1d)
+    _, G, *_ = loss_and_gradient(W, X, Y, kernel1d)
     G_fd = finite_difference_gradient(W, X, Y, kernel1d)
     return float(np.max(np.abs(G - G_fd)) / np.max(np.abs(G_fd)))
 
@@ -172,7 +172,7 @@ class TestLossAndGradient:
         for block_lags in (1 << 10, 1 << 13, 1 << 16):
             monkeypatch.setattr(ppgp.pursuit, "BLOCK_LAGS", block_lags)
             for kernel1d in (matern(2.5), gaussian(0.8)):
-                loss, grad = loss_and_gradient(W, X, Y, kernel1d)
+                loss, grad, *_ = loss_and_gradient(W, X, Y, kernel1d)
                 results.append((block_lags, kernel1d.family, loss, grad.tobytes()))
         by_kernel = {}
         for _, family, loss, grad in results:
@@ -185,7 +185,7 @@ class TestLossAndGradient:
         Y = np.zeros(7)
         W = init_weights(2, 4, 0)
         kernel1d = matern(2.5)
-        loss, G = loss_and_gradient(W, X, Y, kernel1d)
+        loss, G, *_ = loss_and_gradient(W, X, Y, kernel1d)
         K = MultivariateKernel(base=kernel1d, structure="additive", dim=4).gram(
             transform(W, X)
         )
@@ -210,7 +210,7 @@ class TestLossAndGradient:
         kernel1d = matern(2.5)
         W = init_weights(2, 3, 9)
         W = np.vstack([W, W[1]])  # M = 4 with rows 1 and 3 identical
-        loss, _ = loss_and_gradient(W, X, Y, kernel1d)
+        loss, *_ = loss_and_gradient(W, X, Y, kernel1d)
 
         M = W.shape[0]
         T = transform(W, X)
@@ -230,8 +230,8 @@ class TestLossAndGradient:
         Y = rng.normal(size=7)
         W = init_weights(3, 5, 2)
         perm = np.array([3, 0, 4, 1, 2])
-        l1, G1 = loss_and_gradient(W, X, Y, matern(2.5))
-        l2, G2 = loss_and_gradient(W[perm], X, Y, matern(2.5))
+        l1, G1, *_ = loss_and_gradient(W, X, Y, matern(2.5))
+        l2, G2, *_ = loss_and_gradient(W[perm], X, Y, matern(2.5))
         assert l1 == l2
         assert np.array_equal(G1[perm], G2)
 
@@ -304,8 +304,8 @@ class TestLossAndGradient:
             cases[n] = (X, Y, W, loss_and_gradient(W, X, Y, matern(2.5)))
         _pair_indices.cache_clear()
         for n in (7, 12, 7):
-            X, Y, W, (loss, grad) = cases[n]
-            again, grad_again = loss_and_gradient(W, X, Y, matern(2.5))
+            X, Y, W, (loss, grad, *_) = cases[n]
+            again, grad_again, *_ = loss_and_gradient(W, X, Y, matern(2.5))
             assert again == loss and grad_again.tobytes() == grad.tobytes()
         assert _pair_indices.cache_info().hits == 1
         for index in _pair_indices(7):
@@ -317,13 +317,16 @@ class TestTrainConfig:
     """Hyperparameter validation."""
 
     def test_rejects_bad_values(self):
-        """Negative eta, M < 1, epochs < 1 are construction errors."""
+        """Negative eta, M < 1, epochs < 1 and a negative seed are
+        construction errors."""
         with pytest.raises(DomainError):
             TrainConfig(eta=-1e-9, epochs=10, M=3)
         with pytest.raises(DomainError):
             TrainConfig(eta=1e-9, epochs=10, M=0)
         with pytest.raises(DomainError):
             TrainConfig(eta=1e-9, epochs=0, M=3)
+        with pytest.raises(DomainError, match="seed"):
+            TrainConfig(eta=1e-9, epochs=10, M=3, seed=-1)
         for eta in (np.nan, np.inf):
             with pytest.raises(DomainError):
                 TrainConfig(eta=eta, epochs=10, M=3)
@@ -406,7 +409,7 @@ class TestTrain:
         assert losses[m.best_epoch] == min(losses)
 
     def test_interpolation_at_training_sites(self):
-        """The refitted inner GP nearly interpolates the training data."""
+        """The inner GP nearly interpolates the training data."""
         fn = by_name("otl-circuit")
         X = halton(20, 6).points
         Y = fn.eval_unit(X)
@@ -501,7 +504,9 @@ class TestTrain:
                 train(X, Y, matern(2.5), cfg)
 
     def test_best_loss_equals_refitted_log_likelihood(self):
-        """The pair pass builds the Gram matrix of the refitted GP bit for bit."""
+        """The best epoch's loss is the returned inner GP's log-likelihood:
+        the pair pass builds the Gram matrix of MultivariateKernel.gram bit
+        for bit."""
         fn = by_name("borehole")
         X = halton(20, 8).points
         Y = fn.eval_unit(X)
@@ -511,6 +516,41 @@ class TestTrain:
             assert m.trace[m.best_epoch][1] == m.inner.log_likelihood(), (
                 f"{kernel1d.family} nu={kernel1d.nu}"
             )
+
+    def test_no_fit_call(self, monkeypatch):
+        """train builds its inner GP from its best step; it never calls fit."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("train called fit")
+
+        monkeypatch.setattr(ppgp.pursuit, "fit", refuse)
+        monkeypatch.setattr(ppgp.gp, "fit", refuse)
+        X = halton(15, 3).points
+        m = train(X, X.sum(axis=1), matern(2.5), TrainConfig(epochs=3, M=4))
+        assert np.isfinite(m.predict(X)).all()
+
+    @pytest.mark.parametrize("case", ["plain", "nugget-0-duplicate-row", "diverged"])
+    def test_inner_gp_is_the_best_step_fit(self, case):
+        """The inner GP's design, alpha and jitter rung are those of a fit
+        at the best weights, bit for bit: after a plain run, after a ladder
+        that escalates on a duplicated row, and after a divergence."""
+        X = halton(20, 3).points
+        Y = np.sin(3.0 * X).sum(axis=1)
+        cfg = TrainConfig(eta=1e-3, epochs=5, M=4)
+        if case == "nugget-0-duplicate-row":
+            X, Y = np.vstack([X, X[:1]]), np.append(Y, Y[0])
+            cfg = TrainConfig(eta=1e-3, epochs=5, M=4, nugget=0.0)
+        elif case == "diverged":
+            cfg = TrainConfig(eta=1e308, epochs=5, M=4)
+        m = train(X, Y, matern(2.5), cfg)
+        T = transform(m.W, X)
+        chol = cholesky_with_jitter(m.inner.kernel.gram(T), cfg.nugget)
+        assert m.inner.design.tobytes() == T.tobytes()
+        assert m.inner.alpha.tobytes() == solve_spd(chol, Y - Y.mean()).tobytes()
+        assert m.inner.jitter_used == chol.jitter_used
+        if case == "nugget-0-duplicate-row":
+            assert chol.jitter_used == 1e-10
+        elif case == "diverged":
+            assert m.diverged and m.best_epoch == 0
 
     def test_input_validation(self):
         """Too little data, shape mismatch, and non-finite inputs raise."""
@@ -590,7 +630,7 @@ class TestGradientMemory:
         W = init_weights(8, 40, 5)
         tracemalloc.start()
         try:
-            loss, grad = loss_and_gradient(W, X, Y, matern(2.5))
+            loss, grad, *_ = loss_and_gradient(W, X, Y, matern(2.5))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -2,8 +2,8 @@
 
 ``perfbench/tracer.py`` wraps ppgp functions at the names their callers
 look them up by, including bindings nothing inside the package calls
-(``Kernel1d.derivative``, and the ``fit`` and ``train`` imports of
-``ppgp.cli``).  Deleting one of those breaks ``perfbench/run.py --trace 1``
+(``Kernel1d.derivative``, the ``fit`` and ``train`` imports of
+``ppgp.cli``, and the ``fit`` import of ``ppgp.pursuit``).  Deleting one of those breaks ``perfbench/run.py --trace 1``
 but no other tier-1 test, so this one loads the tracer by path, unchanged,
 and resolves every site the way it does.
 """
