@@ -347,40 +347,31 @@ def _floats(line: str) -> list[float] | None:
 def _read_points_csv(path: str) -> np.ndarray:
     """The numeric rows of a points file, as an m x d array.
 
-    Only the first data line may be a header.  When the other lines all
-    hold the same number of commas, their cells are converted by one
-    ``np.array`` call, which parses each cell as ``float`` does; any file
-    that this does not read, valid or not, is read line by line, which
-    words every error.
+    Only the first data line may be a header.  The cells of the other
+    lines are converted by one ``np.array`` call, which parses each cell
+    as ``float`` does; when it fails, the first line that ``float``
+    rejects is named.  A file whose lines differ in width is an error
+    after that.
     """
     numbered = list(_text_lines(path, "points file"))
-    lines = [stripped for _, stripped in numbered]
-    if lines and _floats(lines[0]) is None:
-        lines = lines[1:]
-    if len({line.count(",") for line in lines}) == 1:
-        try:
-            cells = np.array(",".join(lines).split(","), dtype=float)
-        except ValueError:
-            pass
-        else:
-            return cells.reshape(len(lines), -1)
-    rows = []
-    for k, (number, stripped) in enumerate(numbered):
-        row = _floats(stripped)
-        if row is not None:
-            rows.append(row)
-        elif k:
-            # only the first data line may be a header; a later one is a
-            # corrupt row, never silently dropped
-            raise ConfigError(
-                f"non-numeric row on line {number} of {path!r}: {stripped!r}"
-            )
-    if not rows:
+    if numbered and _floats(numbered[0][1]) is None:
+        numbered = numbered[1:]
+    if not numbered:
         raise ConfigError(f"no numeric rows found in {path!r}")
-    widths = {len(r) for r in rows}
+    lines = [stripped for _, stripped in numbered]
+    try:
+        cells = np.array(",".join(lines).split(","), dtype=float)
+    except ValueError:
+        # some cell is one that float rejects too, so some line is named; a
+        # later header-like line is a corrupt row, never silently dropped
+        number, stripped = next((n, s) for n, s in numbered if _floats(s) is None)
+        raise ConfigError(
+            f"non-numeric row on line {number} of {path!r}: {stripped!r}"
+        ) from None
+    widths = {line.count(",") + 1 for line in lines}
     if len(widths) != 1:
         raise ConfigError(f"ragged rows in {path!r}: widths {sorted(widths)}")
-    return np.array(rows)
+    return cells.reshape(len(lines), -1)
 
 
 def _values(cfg: dict, keys: list[Key]) -> dict:
@@ -426,14 +417,18 @@ def _run_fit(cfg: dict) -> tuple[str, list[str]]:
                 [row]), comments
 
 
+def _check_inputs(model, pts: np.ndarray) -> None:
+    """A usage error unless ``pts`` has one column per input of ``model``."""
+    if pts.shape[1] != model.dim:
+        raise ConfigError(
+            f"points have {pts.shape[1]} columns but the model expects {model.dim}"
+        )
+
+
 def _run_predict(cfg: dict) -> tuple[str, list[str]]:
     model = load_model(cfg["model"])
     pts = _read_points_csv(cfg["points"])
-    d = model.dim
-    if pts.shape[1] != d:
-        raise ConfigError(
-            f"points have {pts.shape[1]} columns but the model expects {d}"
-        )
+    _check_inputs(model, pts)
     outside = ~((pts >= 0.0) & (pts <= 1.0))
     if np.any(outside):
         i, j = np.argwhere(outside)[0]
@@ -441,7 +436,7 @@ def _run_predict(cfg: dict) -> tuple[str, list[str]]:
             f"data row {i + 1}, column x{j + 1} of {cfg['points']!r} is "
             f"{float(pts[i, j])!r}, outside the unit cube [0, 1]"
         )
-    header = ",".join([*(f"x{j + 1}" for j in range(d)), "prediction"])
+    header = ",".join([*(f"x{j + 1}" for j in range(model.dim)), "prediction"])
     return _csv(header, np.column_stack([pts, model.predict(pts)])), []
 
 
@@ -459,7 +454,9 @@ def _run_eval_grid(cfg: dict) -> tuple[str, list[str]]:
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([g1.ravel(), g2.ravel()], axis=1)
     if cfg["model"] is not None:
-        vals = load_model(cfg["model"]).predict(pts)
+        model = load_model(cfg["model"])
+        _check_inputs(model, pts)
+        vals = model.predict(pts)
         source = "model"
     else:
         vals = fn.eval_unit(pts)

@@ -21,8 +21,8 @@ outweighs its arithmetic, so the helpers call the routines directly:
   ``scipy.linalg.cho_solve`` does, without its argument checks, and gives
   the same bits.  The factor is column-major, so f2py passes it to
   ``dpotrs`` without a copy.
-* :func:`inverse_spd` takes the lower triangle of the inverse and mirrors
-  it, so the inverse is exactly symmetric.  From :data:`POTRI_MIN_N`
+* :func:`inverse_spd` gives the lower triangle of the inverse, all that
+  a training step reads; it is not public.  From :data:`POTRI_MIN_N`
   rows up it calls ``dpotri``, which inverts the factor in about n^3 / 3
   flops where ``dpotrs`` against the identity takes about 2 n^3; below,
   it calls ``dpotrs``, whose fixed cost is lower.  On 2 vCPUs (medians of
@@ -75,7 +75,6 @@ __all__ = [
     "pivoted_cholesky",
     "solve_spd",
     "logdet",
-    "inverse_spd",
 ]
 
 SYMMETRY_TOL = 1e-10
@@ -244,17 +243,15 @@ def logdet(F: CholFactor) -> float:
 
 
 def inverse_spd(F: CholFactor) -> np.ndarray:
-    """Dense inverse of the factored matrix (column-major), exactly symmetric.
+    """An n x n column-major array whose lower triangle, diagonal included,
+    holds the inverse of the factored matrix (n >= 1).
 
-    From :data:`POTRI_MIN_N` rows up ``dpotri`` writes the lower triangle
-    of the inverse; below that ``dpotrs`` solves against the identity.
-    The strict upper triangle is then copied from the lower one, so entry
-    (i, j) has the bits of entry (j, i).
+    From :data:`POTRI_MIN_N` rows up ``dpotri`` writes that triangle and
+    leaves zeros above it; below that ``dpotrs`` solves against the
+    identity, whose upper triangle is the inverse only up to rounding.
+    Read the lower triangle only.
     """
     n = F.n
-    if n == 0:
-        # dpotri and dpotrs reject a 0 x 0 factor
-        return np.empty((0, 0), order="F")
     from scipy.linalg.lapack import dpotri, dpotrs   # loaded on first use; see the module docstring
 
     if n >= POTRI_MIN_N:
@@ -265,6 +262,4 @@ def inverse_spd(F: CholFactor) -> np.ndarray:
         # info > 0 would be a zero on the factor's diagonal, which dpotrf
         # does not return
         raise SingularMatrixError(f"inverting the factor failed with info {info}")
-    # the strict upper triangle, as a column-major mask like inv
-    np.copyto(inv, inv.T, where=np.tri(n, k=-1, dtype=bool).T)
     return inv

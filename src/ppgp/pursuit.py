@@ -28,9 +28,10 @@ kernel value and its derivative at the M projected lags from one shared
 :meth:`MultivariateKernel.gram`), and writes the derivatives straight
 into their slice of the stored ones.  Every pair goes through the same
 elementwise operations whatever its block, so the block size changes no
-bit.  ``K^-1`` from :func:`~ppgp.linalg.inverse_spd` is exactly
-symmetric, as is ``alpha alpha^T``, and ``k'`` is odd, so pair ``(i, j)``
-enters the gradient with the weight ``2 (K^-1[i, j] - alpha_i alpha_j) / M``;
+bit.  ``K^-1`` and ``alpha alpha^T`` are symmetric and ``k'`` is odd,
+so pair ``(i, j)`` enters the gradient with the weight
+``2 (K^-1[j, i] - alpha_i alpha_j) / M``, read from the lower triangle of
+K^-1 that :func:`~ppgp.linalg.inverse_spd` returns;
 after the factorization the gradient is one matrix product per block of
 :data:`CONTRACTION_LAGS` lags, whose blocks set the order of its sum.
 Memory is the stored derivatives, about
@@ -273,9 +274,9 @@ def loss_and_gradient(
     if not math.isfinite(loss):
         raise SingularMatrixError(f"objective is not finite ({loss!r})")
 
-    # K^-1 - alpha alpha^T contracts against dK/dw_k; both are exactly
-    # symmetric and k' is odd, so the pairs (i, j) and (j, i) share the
-    # weight 2 (K^-1[i, j] - alpha_i alpha_j) / M
+    # K^-1 - alpha alpha^T contracts against dK/dw_k; both are symmetric
+    # and k' is odd, so the pairs (i, j) and (j, i) share the weight
+    # 2 (K^-1[j, i] - alpha_i alpha_j) / M, from K^-1's lower triangle
     pair_weight = inverse_spd(chol)[ju, iu]
     pair_weight -= alpha.take(iu) * alpha.take(ju)
     pair_weight *= 2.0

@@ -19,6 +19,7 @@ share the same random draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +103,8 @@ def sup_error_curve(
     P(x), and the average over ``trials`` exact prior draws of the
     sup-norm prediction error on the grid.  The draws are made once, over
     the grid plus all the designs, and shared by every n.  ``trials=0``
-    skips the draws (sup_err reported as nan).  ``d`` must lie in 1..3 and
-    every n be at least 2.
+    skips the draws (sup_err reported as nan).  ``d`` must lie in 1..3,
+    every n be at least 2 and ``nugget`` be finite and non-negative.
     """
     if not 1 <= d <= 3:
         raise DomainError(f"rate checks support 1 <= d <= 3, got {d}")
@@ -112,6 +113,8 @@ def sup_error_curve(
     n_list = [int(n) for n in n_list]
     if min(n_list, default=2) < 2:
         raise DomainError(f"rate checks need designs of at least 2 points, got {n_list}")
+    if not (math.isfinite(nugget) and nugget >= 0):
+        raise DomainError(f"nugget must be finite and non-negative (got {nugget})")
     grid = _grid(d, grid_budget)
     kernel = MultivariateKernel(base=matern(nu), structure=structure, dim=d)
 

@@ -219,8 +219,9 @@ class TestFitPredict:
 
     def test_points_cells_parse_as_float_does(self, tmp_path):
         """The points file's cells, converted in one call, are the doubles
-        ``float`` gives each of them, with or without a header line; a
-        ragged or non-numeric file keeps its line-by-line error."""
+        ``float`` gives each of them, with or without a header line.  A
+        header alone holds no rows; a non-numeric line is named by its
+        number, also in a file that is ragged too."""
         cells = [[" 1 ", "1_0", "nan"], ["infinity", "1e400", "\u0661"],
                  ["-0", "+.5", "1e-400"]]
         expected = np.array([[float(c) for c in row] for row in cells])
@@ -231,7 +232,10 @@ class TestFitPredict:
             assert cli._read_points_csv(str(path)).tobytes() == expected.tobytes()
         for text, error in (("x1,x2\n0.5,0.5\n0.25\n", "ragged rows"),
                             ("0.5,0.5\n0x10,0.5\n", "non-numeric row on line 2"),
-                            ("0.5,0.5\n0.25,\n", "non-numeric row on line 2")):
+                            ("0.5,0.5\n0.25,\n", "non-numeric row on line 2"),
+                            ("x1,x2\n", "no numeric rows"),
+                            ("0.5,0.5\n0.25\n0.5,oops\n", "non-numeric row on line 3"),
+                            ("x1,x2\n0.5,0.5\n0.25,oops\n", "non-numeric row on line 3")):
             path.write_text(text, encoding="utf-8")
             with pytest.raises(ppgp.ConfigError, match=error):
                 cli._read_points_csv(str(path))
@@ -398,6 +402,21 @@ class TestEvalGrid:
         assert rc == 1
         assert "2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["gp-add", "ppgpr"])
+    def test_model_of_other_dimension_rejected(self, tmp_path, capsys, method):
+        """A model of 8 inputs cannot tabulate the 2-input grid: a usage
+        error that names both counts, as `predict` words it."""
+        model_path = tmp_path / "model.txt"
+        assert cli.main(["fit", "--function", "borehole", "--method", method,
+                         "--n-train", "10", "--epochs", "2", "--model-out", str(model_path),
+                         "--out", str(tmp_path / "fit.csv")]) == 0
+        capsys.readouterr()
+        rc = cli.main(["eval-grid", "--function", "xy-plus-x2", "--resolution", "3",
+                       "--model", str(model_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: points have 2 columns but the model expects 8\n")
+
     def test_tiny_resolution_rejected(self, capsys):
         rc = cli.main(["eval-grid", "--function", "xy-plus-x2",
                        "--resolution", "1"])
@@ -501,6 +520,9 @@ class TestTheoryCheck:
         assert "1 <= d <= 3" in capsys.readouterr().err
         assert cli.main(["theory-check", "--d", "1", "--n-list", "1,4"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        for nugget in ("-1", "nan"):
+            assert cli.main(["theory-check", "--nugget", nugget, "--n-list", "10,20"]) == 1
+            assert capsys.readouterr().err.startswith("error: nugget must be finite")
 
     def test_one_distinct_n_is_usage_error(self, tmp_path, capsys):
         """A slope needs two distinct design sizes: a repeated n exits 1

@@ -137,6 +137,9 @@ class TestSupErrorCurve:
             sup_error_curve("additive", 2.5, 0, [10, 20])
         with pytest.raises(DomainError, match="at least 2"):
             sup_error_curve("additive", 2.5, 1, [1, 4])
+        for nugget in (-1.0, np.nan, np.inf):
+            with pytest.raises(DomainError, match="nugget must be finite"):
+                sup_error_curve("additive", 2.5, 1, [4, 8], nugget=nugget)
 
     def test_grid_budget_cap(self):
         with pytest.raises(DomainError):
