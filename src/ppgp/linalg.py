@@ -24,14 +24,17 @@ outweighs its arithmetic, so the helpers call the routines directly:
 * :func:`inverse_spd` gives the lower triangle of the inverse, all that
   a training step reads; it is not public.  From :data:`POTRI_MIN_N`
   rows up it calls ``dpotri``, which inverts the factor in about n^3 / 3
-  flops where ``dpotrs`` against the identity takes about 2 n^3; below,
-  it calls ``dpotrs``, whose fixed cost is lower.  On 2 vCPUs (medians of
-  150-400 calls) ``dpotri`` took 1.4 ms against 2.9 ms at n = 300 and
-  0.35 against 0.41 ms at n = 160, but 0.19 against 0.16 ms at n = 100,
-  65 against 45 us at n = 64 and 29 against 23 us at n = 32.  Inside a
-  training at small n ``dpotri`` cost more than that: in three rounds of
-  12 s cv-tune benchmark runs (n = 32 and 40) a cycle took 2.4, 3.1 and
-  3.6 s with it, and 2.1, 2.2 and 3.3 s with ``dpotrs``.
+  flops where ``dpotrs`` against the identity takes about 2 n^3.  On 2
+  vCPUs (medians of 150-400 calls) ``dpotri`` took 1.4 ms against 2.9 ms
+  at n = 300 and 0.35 against 0.41 ms at n = 160, but 0.19 against
+  0.16 ms at n = 100, 65 against 45 us at n = 64 and 29 against 23 us at
+  n = 32, and inside a training at small n it cost more than that.
+  Below it, the inverse is ``L^-T L^-1``: ``dtrtri`` inverts the factor
+  and ``dsyrk`` (``scipy.linalg.blas``, ``trans=1``) writes the lower
+  triangle of the product.  At n = 32 that took 5 + 6 us on one thread,
+  where ``dpotrs`` against the identity took 21.6 us at 1.99 CPU seconds
+  per wall second, and 26 + 14 against 52 us at n = 64; the two agree
+  within 8e-16 relative.
 * :func:`logdet` sums the logs of the factor's diagonal.
 
 The factor and the solves run in one library on purpose.  numpy and scipy
@@ -50,6 +53,13 @@ factor went from 6.2 to 2.6 ms a call and the inverse from 13.7 to
 set: the gain is contention removed, not work skipped.  From n = 12 up
 (numpy 2.4, scipy 1.17) scipy's factor differs from numpy's in the last
 bits, so loss traces and stored models carry ``dpotrf``'s bits.
+
+A small-n step wakes neither pool: up to :data:`SERIAL_MAX_N` rows every
+call on its path runs on the calling thread (see that constant), so such
+a step uses one CPU second per wall second, where it used 1.95-1.98 while
+the inverse was ``dpotrs`` against the identity.  That leaves the other
+cores free: :func:`ppgp.evaluation.cross_validate` trains folds that
+small side by side in worker processes, one per core.
 
 ``scipy.linalg`` is imported inside the functions that call LAPACK, on
 the first factor, not with this module.  Loading it pulls in SciPy's
@@ -85,9 +95,17 @@ JITTER_FLOOR = 1e-10
 # the Schur complement is at most this
 PIVOT_TOL = 1e-14
 # inverse_spd inverts through dpotri from this many rows up, and below it
-# solves against the identity with dpotrs, which is faster there (see the
-# module docstring)
+# through dtrtri and dsyrk, which are faster there (see the module docstring)
 POTRI_MIN_N = 128
+# Up to this many rows a training step runs on one thread.  A probe of
+# scipy 1.17's OpenBLAS on 2 vCPUs at every n from 2 to 127 found dpotrf,
+# dtrtri and dpotrs (one right-hand side) on one thread throughout, and
+# dsyrk on one thread up to n = 75, parallel at 76-91 and 97-127; whole
+# loss_and_gradient steps at (n, d, M) = (32, 8, 35), (40, 8, 35),
+# (64, 8, 40), (64, 20, 59) and (75, 20, 70) used 1.00 CPU second per wall
+# second.  cross_validate trains folds of at most this many rows in
+# parallel processes, and larger ones in-process.
+SERIAL_MAX_N = 64
 
 
 @dataclass(frozen=True)
@@ -246,18 +264,21 @@ def inverse_spd(F: CholFactor) -> np.ndarray:
     """An n x n column-major array whose lower triangle, diagonal included,
     holds the inverse of the factored matrix (n >= 1).
 
-    From :data:`POTRI_MIN_N` rows up ``dpotri`` writes that triangle and
-    leaves zeros above it; below that ``dpotrs`` solves against the
-    identity, whose upper triangle is the inverse only up to rounding.
-    Read the lower triangle only.
+    From :data:`POTRI_MIN_N` rows up ``dpotri`` writes that triangle;
+    below it ``dsyrk`` writes the lower triangle of ``L^-T L^-1`` from
+    ``dtrtri``'s ``L^-1``.  Neither fills the upper triangle with the
+    inverse: read the lower triangle only.
     """
-    n = F.n
-    from scipy.linalg.lapack import dpotri, dpotrs   # loaded on first use; see the module docstring
+    from scipy.linalg.blas import dsyrk      # loaded on first use; see the module docstring
+    from scipy.linalg.lapack import dpotri, dtrtri
 
-    if n >= POTRI_MIN_N:
+    if F.n >= POTRI_MIN_N:
         inv, info = dpotri(F.lower, lower=1)
     else:
-        inv, info = dpotrs(F.lower, np.eye(n, order="F"), lower=True, overwrite_b=True)
+        # dpotrf's factor is clean above its diagonal, and so is L^-1
+        inv, info = dtrtri(F.lower, lower=1)
+        if info == 0:
+            inv = dsyrk(1.0, inv, trans=1, lower=1)
     if info != 0:
         # info > 0 would be a zero on the factor's diagonal, which dpotrf
         # does not return

@@ -1,5 +1,8 @@
 """Tests for the error metrics, tuning loop, and experiment runner."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,9 @@ from ppgp import (
     rmse_absolute,
     run_experiment,
 )
-from ppgp.evaluation import _experiment_seeds
+from ppgp import evaluation
+from ppgp.evaluation import _experiment_seeds, _safe_rmse
+from ppgp.linalg import SERIAL_MAX_N
 
 
 class TestRmse:
@@ -209,6 +214,118 @@ class TestCrossValidate:
         grid = TuneGrid(etas=(1e-8,), Ms=(5,), folds=5)
         with pytest.raises(ConfigError):
             cross_validate(X, Y, grid, seed=0)
+
+
+_TWO_CPUS = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="cross_validate fans out only with at least 2 CPUs")
+
+
+class TestParallelFolds:
+    """cross_validate trains small folds in forked workers, with the bits,
+    failed folds and exceptions of the in-process loop."""
+
+    GRID = TuneGrid(etas=(1e-7, 1e-8), Ms=(6,), kernels=(matern(2.5), gaussian(1.5)),
+                    folds=4)
+
+    @staticmethod
+    def _data(n):
+        fn = by_name("borehole")
+        U = halton(n, fn.dim).points
+        return U, fn.eval_unit(U)
+
+    @staticmethod
+    def _count_parent_trainings(monkeypatch, fail=None):
+        """Wrap make_model: the list holds the trainings this process ran
+        (a forked worker appends to its own copy), and ``fail(spec, U)``
+        may return an exception to raise in place of training."""
+        calls = []
+        real = evaluation.make_model
+
+        def wrapped(spec, U, Y):
+            calls.append(U.shape[0])
+            exc = fail(spec, U) if fail else None
+            if exc is not None:
+                raise exc
+            return real(spec, U, Y)
+
+        monkeypatch.setattr(evaluation, "make_model", wrapped)
+        return calls
+
+    @_TWO_CPUS
+    def test_fanned_out_table_is_the_in_process_folds_bit_for_bit(self, monkeypatch):
+        X, Y = self._data(20)
+        calls = self._count_parent_trainings(monkeypatch)
+        _, table = cross_validate(X, Y, self.GRID, seed=2, epochs=10, early_stop_rel=0.0)
+        assert calls == [] and multiprocessing.active_children() == []
+        monkeypatch.undo()
+        fold_seed, weight_seed = _experiment_seeds(2)
+        folds = fold_indices(20, 4, fold_seed)
+        expected = []
+        for kernel in self.GRID.kernels:
+            for eta in self.GRID.etas:
+                spec = ModelSpec("ppgpr", kernel, TrainConfig(
+                    eta=eta, M=6, epochs=10, early_stop_rel=0.0, seed=weight_seed))
+                for hold in folds:
+                    train_idx = np.setdiff1d(np.arange(20), hold)
+                    model = make_model(spec, X[train_idx], Y[train_idx])
+                    expected.append(_safe_rmse(model.predict(X[hold]), Y[hold]))
+        assert [row["rmse"].hex() for row in table] == [e.hex() for e in expected]
+
+    @_TWO_CPUS
+    def test_training_error_in_a_worker_scores_inf(self, monkeypatch):
+        """The fold that holds row 0 out fails for eta 1e-8 only."""
+        X, Y = self._data(16)
+
+        def fail(spec, U):
+            held_out = not (U == X[0]).all(axis=1).any()
+            if spec.config.eta == 1e-8 and held_out:
+                return TrainingError("diverged")
+            return None
+
+        calls = self._count_parent_trainings(monkeypatch, fail)
+        best, table = cross_validate(X, Y, self.GRID, seed=0, epochs=3)
+        assert calls == [] and multiprocessing.active_children() == []
+        failed = [(row["grid_index"], row["fold"]) for row in table if np.isinf(row["rmse"])]
+        assert len(failed) == 2 and {gi for gi, _ in failed} == {1, 3}
+        assert all(np.isfinite(row["rmse"]) for row in table if row["eta"] == 1e-7)
+        assert best["eta"] == 1e-7
+
+    @_TWO_CPUS
+    def test_other_exception_is_reraised_first_in_table_order(self, monkeypatch):
+        """Every training of the second and the third grid point raises;
+        the parent raises the exception of the second point's first
+        fold."""
+        X, Y = self._data(16)
+
+        def fail(spec, U):
+            if spec.config.eta == 1e-8 and spec.kernel == matern(2.5):
+                return ValueError(f"first: {U.shape[0]} rows")
+            if spec.config.eta == 1e-7 and spec.kernel == gaussian(1.5):
+                return RuntimeError("later")
+            return None
+
+        fold_seed, _ = _experiment_seeds(0)
+        rows = 16 - fold_indices(16, 4, fold_seed)[0].size
+        calls = self._count_parent_trainings(monkeypatch, fail)
+        with pytest.raises(ValueError, match=f"^first: {rows} rows$") as raised:
+            cross_validate(X, Y, self.GRID, seed=0, epochs=3)
+        assert calls == [] and multiprocessing.active_children() == []
+        assert "in wrapped" in str(raised.value.__cause__)  # the worker's traceback
+
+    @_TWO_CPUS
+    @pytest.mark.parametrize("n, in_process", [(5 * SERIAL_MAX_N // 4, False),
+                                               (5 * SERIAL_MAX_N // 4 + 1, True)])
+    def test_folds_above_serial_max_n_train_in_process(self, monkeypatch, n, in_process):
+        """With 5 folds of n rows, training sets of SERIAL_MAX_N rows fan
+        out and one of SERIAL_MAX_N + 1 keeps every fold in-process."""
+        X, Y = self._data(n)
+        calls = self._count_parent_trainings(monkeypatch)
+        grid = TuneGrid(etas=(1e-7, 1e-8), Ms=(3,), folds=5)
+        _, table = cross_validate(X, Y, grid, seed=0, epochs=1)
+        assert len(table) == 10 and all(np.isfinite(row["rmse"]) for row in table)
+        assert max(calls, default=0) == (SERIAL_MAX_N + 1 if in_process else 0)
+        assert len(calls) == (10 if in_process else 0)
 
 
 class TestModelSpec:

@@ -2,16 +2,26 @@
 
 Oracles: hand 2x2 Cholesky factors, eigenvalue decompositions computed
 directly with numpy, residual norms of reconstructed systems, and the
-bits of scipy's ``dpotrf``, ``dpotri`` and ``scipy.linalg.cho_solve``; the
-pivoted factor is checked by reconstructing the matrix it factors.
+bits of scipy's ``dpotrf``, ``dpotri``, ``dtrtri``, ``dsyrk`` and
+``scipy.linalg.cho_solve``; the pivoted factor is checked by
+reconstructing the matrix it factors.  A fresh interpreter checks that a
+small-n training step runs on one thread.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf, dpotri, dpstrf
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpotrf, dpotri, dpstrf, dtrtri
+
+import ppgp
 
 from ppgp import (
     MultivariateKernel,
@@ -23,7 +33,7 @@ from ppgp import (
     randomized_lhs,
     solve_spd,
 )
-from ppgp.linalg import PIVOT_TOL, POTRI_MIN_N, inverse_spd
+from ppgp.linalg import PIVOT_TOL, POTRI_MIN_N, SERIAL_MAX_N, inverse_spd
 
 
 def random_spd(rng, n):
@@ -185,7 +195,7 @@ class TestLogdetAndInverse:
 
     def test_inverse_spd(self):
         """The lower triangle of inverse(A), mirrored, times A is the
-        identity within 1e-10."""
+        identity within 1e-10; at 7 rows it comes from dtrtri and dsyrk."""
         rng = np.random.default_rng(5)
         A = random_spd(rng, 7)
         f = cholesky_with_jitter(A, 0.0)
@@ -197,10 +207,11 @@ class TestLogdetAndInverse:
 class TestLapackPathBits:
     """The helpers reproduce the bits of the scipy routines they stand in
     for: ``dpotrf(A + delta I, lower=1, clean=1)`` for the factor,
-    ``scipy.linalg.cho_solve`` for the solves, and ``cho_solve`` or
-    ``dpotri`` for the inverse.  The accuracy of the factor and of the
-    inverse is checked directly too, against rounding-error bounds, not
-    through agreement with another library."""
+    ``scipy.linalg.cho_solve`` for the solves, and ``dsyrk`` over
+    ``dtrtri``'s inverse factor or ``dpotri`` for the inverse.  The
+    accuracy of the factor and of the inverse is checked directly too,
+    against rounding-error bounds, not through agreement with another
+    library."""
 
     SIZES = (1, 5, 32, 40, 100)
 
@@ -240,17 +251,20 @@ class TestLapackPathBits:
 
     @pytest.mark.parametrize("n", SIZES + (POTRI_MIN_N, 200))
     def test_inverse_is_a_lower_triangle_mirrored(self, n):
-        """The lower triangle of the result is that of cho_solve against
-        the identity below POTRI_MIN_N rows and of dpotri from there up,
-        bit for bit; and that triangle, mirrored here into the inverse X,
-        keeps A X - I within n eps ||A||_inf ||X||_inf, the size of the
+        """The lower triangle of the result is that of
+        dsyrk(trans=1, lower=1) over dtrtri's inverse of the factor below
+        POTRI_MIN_N rows and of dpotri from there up, bit for bit; and
+        that triangle, mirrored here into the inverse X, keeps A X - I
+        within n eps ||A||_inf ||X||_inf, the size of the
         rounding errors of the inverse and its product (measured at most
         0.5 of it).  The upper triangle is not the inverse's and is not
         read."""
         A, f, _ = self.factor(n)
         result = inverse_spd(f)
         if n < POTRI_MIN_N:
-            expected = cho_solve((f.lower, True), np.eye(n))
+            inverse_factor, info = dtrtri(f.lower, lower=1)
+            assert info == 0
+            expected = dsyrk(1.0, inverse_factor, trans=1, lower=1)
         else:
             expected, info = dpotri(f.lower, lower=1)
             assert info == 0
@@ -274,6 +288,50 @@ class TestLapackPathBits:
         f = cholesky_with_jitter(np.empty((0, 0)), 1e-6)
         assert solve_spd(f, np.empty(0)).shape == (0,)
         assert logdet(f) == 0.0
+
+
+_STEP_LOAD = """
+import json, sys, time
+import numpy as np
+from ppgp import halton, matern
+from ppgp.pursuit import loss_and_gradient
+kernel = matern(2.5)
+cases = []
+for n, d, M in json.loads(sys.argv[1]):
+    X = halton(n, d).points
+    W = np.random.default_rng(n).normal(0.0, d ** -0.5, size=(M, d))
+    cases.append((W, X, np.sin(X.sum(axis=1))))
+    loss_and_gradient(*cases[-1], kernel, 1e-6)
+# OpenBLAS starts its pool with the first LAPACK call, and a woken pool
+# spins for about 0.2 s: let the start-up's spin end first
+time.sleep(0.5)
+out = []
+for case in cases:
+    c0, w0 = time.process_time(), time.perf_counter()
+    for _ in range(300):
+        loss_and_gradient(*case, kernel, 1e-6)
+    out.append((time.process_time() - c0) / (time.perf_counter() - w0))
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs at least 2 CPUs to see a second thread")
+def test_small_n_training_step_runs_on_one_thread():
+    """Up to SERIAL_MAX_N rows a loss_and_gradient step wakes no BLAS
+    worker thread: 300 steps at each shape use at most 1.3 CPU seconds
+    per wall second (1.95-1.98 while the inverse came from dpotrs
+    against the identity).  A fresh interpreter, so that no earlier test
+    has left a pool spinning."""
+    shapes = [shape for shape in [(32, 8, 35), (40, 8, 35), (64, 8, 40), (64, 20, 59), (75, 20, 70)]
+              if shape[0] <= SERIAL_MAX_N]
+    src = str(Path(ppgp.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    done = subprocess.run([sys.executable, "-c", _STEP_LOAD, json.dumps(shapes)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    loads = json.loads(done.stdout.splitlines()[-1])
+    assert len(loads) == len(shapes) and max(loads) <= 1.3, dict(zip(map(str, shapes), loads))
 
 
 class TestPivotedCholesky:

@@ -1,5 +1,5 @@
 """SciPy stays unloaded until a command factors a matrix or evaluates a
-Bessel function.
+Bessel function, and ``multiprocessing`` until a tune fans out its folds.
 
 Each check starts a fresh interpreter, as every ``ppgp`` call does, and
 reads ``sys.modules`` after running commands through ``cli.main``.
@@ -74,6 +74,28 @@ def test_serving_commands_load_no_scipy(files):
          "--model", str(model), "--out", out],
     ])
     assert loaded == []
+
+
+_POOL_LOADED = "sorted(m for m in sys.modules if m.startswith('multiprocessing'))"
+
+_SERVE_NO_POOL = f"""
+import json, sys
+import ppgp
+loaded = {{"import": {_POOL_LOADED}}}
+from ppgp import cli
+assert cli.main(json.loads(sys.argv[1])) == 0
+loaded["predict"] = {_POOL_LOADED}
+print(json.dumps(loaded))
+"""
+
+
+def test_import_and_predict_load_no_multiprocessing(files):
+    """Only cross_validate imports multiprocessing, inside the call."""
+    workdir, model, points = files
+    loaded = _fresh(_SERVE_NO_POOL, [
+        "predict", "--model", str(model), "--points", str(points),
+        "--out", str(workdir / "out.csv")])
+    assert loaded == {"import": [], "predict": []}
 
 
 def test_scipy_loads_at_first_use(files):
