@@ -33,7 +33,6 @@ from .designs import halton, uniform_random
 from .errors import ConfigError, DomainError, MetricError, TrainingError
 from .gp import GpModel, fit
 from .kernels import Kernel1d, MultivariateKernel
-from .linalg import SERIAL_MAX_N
 from .pursuit import PpgprModel, TrainConfig, train
 
 __all__ = [
@@ -55,6 +54,17 @@ METHODS = ("gp-iso", "gp-pro", "gp-add", "ppgpr")
 _METHOD_STRUCTURE = {"gp-iso": "isotropic", "gp-pro": "product", "gp-add": "additive"}
 # uniform-random test points per experiment
 _N_TEST = 500
+# cross_validate trains folds of at most this many rows in worker processes
+# and larger ones in-process.  Up to 75 rows a training step runs on one
+# thread (see the ppgp.linalg docstring); above that each worker's dsyrk
+# wakes its own OpenBLAS threads, which fight over the same cores.  Tuning
+# borehole (d = 8, M = 40, 4 etas x 5 folds, 40 epochs) on 2 vCPUs, 3 to 6
+# tunes a side, workers against the in-process loop took 0.83-0.91
+# against 0.90-1.17 s a tune at 64-row folds and 0.85-1.10 against
+# 1.21-1.71 s at 75 rows, but 3.6-3.9 against 1.4-2.3 s at 76 rows and
+# 2.6-3.8 against 1.5-2.0 s at 80, and 7.9-40 against 3.6-4.1 s at 160
+# rows (20 epochs).
+POOL_MAX_N = 75
 
 
 @dataclass(frozen=True)
@@ -243,29 +253,19 @@ def _fold_score(spec: ModelSpec, X: np.ndarray, Y: np.ndarray, hold: np.ndarray,
         return np.inf
 
 
-def _worker_fold_score(task: tuple):
-    """``task``'s score, or the exception it raised, which the parent
-    re-raises in table order with the worker's traceback as its cause."""
-    try:
-        return _fold_score(*task)
-    except Exception as exc:
-        from multiprocessing.pool import ExceptionWithTraceback
-
-        return ExceptionWithTraceback(exc, exc.__traceback__)
-
-
 def _fold_workers(tasks: int, max_train_rows: int) -> int:
     """Worker processes for ``tasks`` fold trainings of at most
     ``max_train_rows`` rows; 1 means train them in-process."""
     if (not hasattr(os, "sched_getaffinity") or tasks < 2
-            or max_train_rows > SERIAL_MAX_N):
+            or max_train_rows > POOL_MAX_N):
         return 1
     cpus = len(os.sched_getaffinity(0))
     if cpus < 2:
         return 1
     import multiprocessing
 
-    # a daemonic process, such as a pool worker, may not have children
+    # a daemonic process, such as a multiprocessing.Pool worker, may not
+    # have children
     return 1 if multiprocessing.current_process().daemon else min(cpus, tasks)
 
 
@@ -276,23 +276,13 @@ def _fold_scores(tasks: list, max_train_rows: int) -> list[float]:
     if workers == 1:
         return [_fold_score(*task) for task in tasks]
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     # fork, not spawn: a spawned worker imports ppgp and scipy.linalg again
-    # on every call, 0.4-0.5 s on 2 vCPUs, most of what the pool saves on a
-    # 20-training tune of 32-row folds
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    try:
-        scores = pool.map(_worker_fold_score, tasks, chunksize=1)
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
-    for score in scores:
-        if isinstance(score, Exception):
-            raise score
-    return scores
+    # on every call, 0.4-0.5 s on 2 vCPUs, most of what the workers save on
+    # a 20-training tune of 32-row folds
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_fold_score, *zip(*tasks)))
 
 
 def cross_validate(
@@ -316,19 +306,24 @@ def cross_validate(
     says how many folds failed.
 
     The (grid point, fold) trainings are independent.  When every fold's
-    training set has at most :data:`~ppgp.linalg.SERIAL_MAX_N` rows, where
-    a training step runs on one thread, they run in a pool of forked
-    worker processes, one per CPU the process may use (at most one per
-    training), provided the platform has ``os.sched_getaffinity``, the
-    process may use at least 2 CPUs, there are at least 2 trainings and
-    the caller is not itself a daemonic process such as a pool worker.
+    training set has at most :data:`POOL_MAX_N` rows, where a training
+    step runs on one thread, they run in a
+    :class:`~concurrent.futures.ProcessPoolExecutor` of forked workers,
+    one per CPU the process may use (at most one per training), provided
+    the platform has ``os.sched_getaffinity``, the process may use at
+    least 2 CPUs, there are at least 2 trainings and the caller is not
+    itself a daemonic process such as a ``multiprocessing.Pool`` worker.
     Otherwise they run one after another in this process.  Either way the
     table holds the same bits, and any exception other than
-    ``TrainingError`` propagates, the first in table order; a pool is
-    closed and joined before that.  On Python 3.12 and later, forking a
-    process whose OpenBLAS has started its worker threads emits a
-    ``DeprecationWarning`` about forking a multi-threaded process; it is
-    not silenced here, so the caller's warning filters decide.
+    ``TrainingError`` propagates, the first in table order, once the
+    workers have exited; a worker that dies without one, say killed by
+    the kernel, raises ``concurrent.futures.process.BrokenProcessPool``.
+    A forked worker inherits the caller's locks, held or not, but only
+    trains, predicts and sends back its score, so a lock that another of
+    the caller's threads holds does not stall it.  On Python 3.12 and
+    later, forking a process that runs other threads, among them
+    OpenBLAS's once it has started them, emits a ``DeprecationWarning``;
+    it is not silenced here, so the caller's warning filters decide.
     """
     clash = sorted(set(config) & {"eta", "M"})
     if clash:

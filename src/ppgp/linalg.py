@@ -54,12 +54,15 @@ set: the gain is contention removed, not work skipped.  From n = 12 up
 (numpy 2.4, scipy 1.17) scipy's factor differs from numpy's in the last
 bits, so loss traces and stored models carry ``dpotrf``'s bits.
 
-A small-n step wakes neither pool: up to :data:`SERIAL_MAX_N` rows every
-call on its path runs on the calling thread (see that constant), so such
-a step uses one CPU second per wall second, where it used 1.95-1.98 while
-the inverse was ``dpotrs`` against the identity.  That leaves the other
-cores free: :func:`ppgp.evaluation.cross_validate` trains folds that
-small side by side in worker processes, one per core.
+A small-n step wakes neither pool.  A probe of scipy 1.17's OpenBLAS on
+2 vCPUs at every n from 2 to 127 found ``dpotrf``, ``dtrtri`` and
+``dpotrs`` (one right-hand side) on the calling thread throughout, and
+``dsyrk`` on it up to n = 75, parallel at 76-91 and 97-127.  So up to
+75 rows every call on a step's path runs on one thread: whole
+:func:`ppgp.pursuit.loss_and_gradient` steps at (n, d, M) = (32, 8, 35),
+(40, 8, 35), (64, 8, 40), (64, 20, 59) and (75, 20, 70) used 1.00 CPU
+second per wall second, where they used 1.95-1.98 while the inverse was
+``dpotrs`` against the identity.
 
 ``scipy.linalg`` is imported inside the functions that call LAPACK, on
 the first factor, not with this module.  Loading it pulls in SciPy's
@@ -97,15 +100,6 @@ PIVOT_TOL = 1e-14
 # inverse_spd inverts through dpotri from this many rows up, and below it
 # through dtrtri and dsyrk, which are faster there (see the module docstring)
 POTRI_MIN_N = 128
-# Up to this many rows a training step runs on one thread.  A probe of
-# scipy 1.17's OpenBLAS on 2 vCPUs at every n from 2 to 127 found dpotrf,
-# dtrtri and dpotrs (one right-hand side) on one thread throughout, and
-# dsyrk on one thread up to n = 75, parallel at 76-91 and 97-127; whole
-# loss_and_gradient steps at (n, d, M) = (32, 8, 35), (40, 8, 35),
-# (64, 8, 40), (64, 20, 59) and (75, 20, 70) used 1.00 CPU second per wall
-# second.  cross_validate trains folds of at most this many rows in
-# parallel processes, and larger ones in-process.
-SERIAL_MAX_N = 64
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 """Tests for the error metrics, tuning loop, and experiment runner."""
 
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,9 +33,9 @@ from ppgp import (
     rmse_absolute,
     run_experiment,
 )
+import ppgp
 from ppgp import evaluation
-from ppgp.evaluation import _experiment_seeds, _safe_rmse
-from ppgp.linalg import SERIAL_MAX_N
+from ppgp.evaluation import POOL_MAX_N, _experiment_seeds, _safe_rmse
 
 
 class TestRmse:
@@ -314,18 +318,89 @@ class TestParallelFolds:
         assert "in wrapped" in str(raised.value.__cause__)  # the worker's traceback
 
     @_TWO_CPUS
-    @pytest.mark.parametrize("n, in_process", [(5 * SERIAL_MAX_N // 4, False),
-                                               (5 * SERIAL_MAX_N // 4 + 1, True)])
-    def test_folds_above_serial_max_n_train_in_process(self, monkeypatch, n, in_process):
-        """With 5 folds of n rows, training sets of SERIAL_MAX_N rows fan
-        out and one of SERIAL_MAX_N + 1 keeps every fold in-process."""
+    @pytest.mark.parametrize("n, in_process", [(5 * POOL_MAX_N // 4, False),
+                                               (5 * POOL_MAX_N // 4 + 1, True)])
+    def test_folds_above_pool_max_n_train_in_process(self, monkeypatch, n, in_process):
+        """With 5 folds of n rows, training sets of POOL_MAX_N rows fan
+        out and one of POOL_MAX_N + 1 keeps every fold in-process."""
         X, Y = self._data(n)
         calls = self._count_parent_trainings(monkeypatch)
         grid = TuneGrid(etas=(1e-7, 1e-8), Ms=(3,), folds=5)
         _, table = cross_validate(X, Y, grid, seed=0, epochs=1)
         assert len(table) == 10 and all(np.isfinite(row["rmse"]) for row in table)
-        assert max(calls, default=0) == (SERIAL_MAX_N + 1 if in_process else 0)
+        assert max(calls, default=0) == (POOL_MAX_N + 1 if in_process else 0)
         assert len(calls) == (10 if in_process else 0)
+
+
+    @_TWO_CPUS
+    def test_a_worker_that_dies_raises_broken_process_pool(self):
+        """A worker that exits without an exception (os._exit, as when the
+        kernel kills it) makes the call raise, not hang, and leaves no
+        child behind."""
+        out = _fresh_tune("""
+def make_model(spec, U, Y):
+    if spec.config.eta == 1e-8:
+        os._exit(3)
+    return real(spec, U, Y)
+evaluation.make_model = make_model
+from concurrent.futures.process import BrokenProcessPool
+try:
+    cross_validate(X, Y, grid, seed=0, epochs=3)
+    raised = None
+except BrokenProcessPool:
+    raised = "BrokenProcessPool"
+print(json.dumps([raised, len(multiprocessing.active_children())]))
+""")
+        assert out == ["BrokenProcessPool", 0]
+
+    @_TWO_CPUS
+    def test_fans_out_while_another_thread_holds_a_lock(self):
+        """A caller thread holds its logging handler's lock for the whole
+        fanned-out call; the call returns the in-process table."""
+        out = _fresh_tune("""
+logging.basicConfig(stream=sys.stderr)
+handler = logging.getLogger().handlers[0]
+held, release = threading.Event(), threading.Event()
+def hold():
+    with handler.lock:
+        held.set()
+        release.wait()
+holder = threading.Thread(target=hold)
+holder.start()
+held.wait()
+_, fanned = cross_validate(X, Y, grid, seed=0, epochs=3)
+alive = holder.is_alive()
+release.set()
+holder.join()
+evaluation._fold_workers = lambda tasks, rows: 1
+_, serial = cross_validate(X, Y, grid, seed=0, epochs=3)
+print(json.dumps([alive, [r["rmse"].hex() for r in fanned] == [r["rmse"].hex() for r in serial],
+                  len(multiprocessing.active_children())]))
+""")
+        assert out == [True, True, 0]
+
+
+_TUNE_PRELUDE = """
+import json, logging, multiprocessing, os, sys, threading
+from ppgp import TuneGrid, by_name, cross_validate, evaluation, halton
+fn = by_name("borehole")
+X = halton(16, fn.dim).points
+Y = fn.eval_unit(X)
+grid = TuneGrid(etas=(1e-7, 1e-8), Ms=(4,), folds=4)
+real = evaluation.make_model
+"""
+
+
+def _fresh_tune(script):
+    """Run ``script`` after a prelude that sets up a 16-row borehole tune,
+    in a new interpreter with a time limit, so that a hang fails; returns
+    its JSON output."""
+    src = str(Path(ppgp.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    done = subprocess.run([sys.executable, "-c", _TUNE_PRELUDE + script], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 class TestModelSpec:

@@ -33,7 +33,7 @@ from ppgp import (
     randomized_lhs,
     solve_spd,
 )
-from ppgp.linalg import PIVOT_TOL, POTRI_MIN_N, SERIAL_MAX_N, inverse_spd
+from ppgp.linalg import PIVOT_TOL, POTRI_MIN_N, inverse_spd
 
 
 def random_spd(rng, n):
@@ -318,13 +318,12 @@ print(json.dumps(out))
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs at least 2 CPUs to see a second thread")
 def test_small_n_training_step_runs_on_one_thread():
-    """Up to SERIAL_MAX_N rows a loss_and_gradient step wakes no BLAS
-    worker thread: 300 steps at each shape use at most 1.3 CPU seconds
+    """Up to 75 rows a loss_and_gradient step wakes no BLAS worker
+    thread: 300 steps at each shape use at most 1.3 CPU seconds
     per wall second (1.95-1.98 while the inverse came from dpotrs
     against the identity).  A fresh interpreter, so that no earlier test
     has left a pool spinning."""
-    shapes = [shape for shape in [(32, 8, 35), (40, 8, 35), (64, 8, 40), (64, 20, 59), (75, 20, 70)]
-              if shape[0] <= SERIAL_MAX_N]
+    shapes = [(32, 8, 35), (40, 8, 35), (64, 8, 40), (64, 20, 59), (75, 20, 70)]
     src = str(Path(ppgp.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
